@@ -22,11 +22,20 @@
 // stays valid for sessions still holding its shared_ptr; it is simply no
 // longer findable, so a later acquire() recomputes.
 //
-// Thread safety: both classes are internally synchronized.  Concurrent
-// at() calls racing to extend the same schedule serialize on its mutex —
-// the "concurrent warm-up" path exercised by the tier-1 TSan rerun.
+// Thread safety: both classes are internally synchronized.  A schedule
+// extends one entry at a time under a single-advancer token: the thread
+// holding it runs the K/P iteration outside the schedule's mutex (the
+// strategy, P and workspace are touched by the token holder only) and
+// publishes the entry under a short lock.  A lookup of an entry that is
+// already computed therefore never waits for an advance in flight; a
+// lookup past the newest entry waits for the advancer or becomes it.  The
+// token hands the kernel sequence from thread to thread in iteration
+// order, so entries stay bit-identical whoever computes them.  prefetch()
+// is the non-blocking form a serving layer uses to compute the next entry
+// before anyone asks for it (serve/batch_group.hpp).
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -71,12 +80,32 @@ class GainSchedule {
 
   // The entry for iteration n, extending the schedule as needed.  Returns
   // nullptr when n has already slid out of the window (never for n ahead
-  // of the window — those are computed on demand).
-  std::shared_ptr<const Entry> at(std::size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (computed_ <= n) advance_locked();
+  // of the window — those are computed on demand).  When `ready` is
+  // non-null it reports whether the entry was computed before the call,
+  // i.e. whether the caller neither computed it nor waited for it.
+  std::shared_ptr<const Entry> at(std::size_t n, bool* ready = nullptr) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (ready) *ready = computed_ > n;
+    while (computed_ <= n) {
+      if (advancing_) {
+        advanced_cv_.wait(lock);
+      } else {
+        advance(lock);
+      }
+    }
     if (n < base_) return nullptr;
     return window_entries_[n - base_];
+  }
+
+  // Compute entry n ahead of demand, without waiting: returns true when
+  // this call computed it.  Does nothing unless n is exactly the next
+  // entry, no advance is in flight, and publishing n keeps entry `keep`
+  // (the oldest one a consumer still needs) inside the window.
+  bool prefetch(std::size_t n, std::size_t keep) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (computed_ != n || advancing_ || n + 1 > keep + window_) return false;
+    advance(lock);
+    return true;
   }
 
   // Iterations computed so far ([base, computed) are resident).
@@ -89,20 +118,69 @@ class GainSchedule {
     return base_;
   }
 
+#if defined(KALMMIND_FAULTS)
+  // Fault-injection hooks (KALMMIND_FAULTS builds only): park the next
+  // advance in flight, after it took the token and released mu_, until
+  // fault_release_advance().  fault_wait_parked() blocks until an advance
+  // is parked.  Tests use them to prove lookups never wait on an advance.
+  void fault_park_next_advance() {
+    std::lock_guard<std::mutex> lock(fault_mu_);
+    fault_park_ = true;
+  }
+  void fault_wait_parked() {
+    std::unique_lock<std::mutex> lock(fault_mu_);
+    fault_cv_.wait(lock, [this] { return fault_parked_; });
+  }
+  void fault_release_advance() {
+    std::lock_guard<std::mutex> lock(fault_mu_);
+    fault_park_ = false;
+    fault_cv_.notify_all();
+  }
+#endif
+
  private:
-  // One measurement-independent KF iteration (mu_ held) — the predict and
-  // compute-K stages of KalmanFilter::step with the identical kernel calls
-  // in the identical order, so K_n and P_n match a solo filter bit for
-  // bit (health monitoring is measurement-dependent and therefore never
-  // batched, see serve/batch_group.hpp).
-  void advance_locked() {
+  // Take the advancer token, compute entry computed_ outside mu_, publish
+  // it, slide the window and hand the token back.  `lock` holds mu_ on
+  // entry and on exit, and no other advance is in flight.
+  void advance(std::unique_lock<std::mutex>& lock) {
+    advancing_ = true;
+    lock.unlock();
+    std::shared_ptr<const Entry> entry;
+    try {
+#if defined(KALMMIND_FAULTS)
+      fault_park_point();
+#endif
+      entry = compute();
+    } catch (...) {
+      lock.lock();
+      advancing_ = false;
+      advanced_cv_.notify_all();
+      throw;
+    }
+    lock.lock();
+    window_entries_.push_back(std::move(entry));
+    ++computed_;
+    while (window_entries_.size() > window_) {
+      window_entries_.pop_front();
+      ++base_;
+    }
+    advancing_ = false;
+    advanced_cv_.notify_all();
+  }
+
+  // One measurement-independent KF iteration (advancer token held) — the
+  // predict and compute-K stages of KalmanFilter::step with the identical
+  // kernel calls in the identical order, so K_n and P_n match a solo
+  // filter bit for bit (health monitoring is measurement-dependent and
+  // therefore never batched, see serve/batch_group.hpp).
+  std::shared_ptr<const Entry> compute() {
     auto entry = std::make_shared<Entry>();
     linalg::symmetric_sandwich_into(ws_.p_pred, config_.model.f, p_, ws_.fp);
     ws_.p_pred += config_.model.q;
     linalg::symmetric_sandwich_into(ws_.s, config_.model.h, ws_.p_pred,
                                     ws_.hp);
     ws_.s += config_.model.r;
-    strategy_->invert_into(ws_.s_inv, ws_.s, computed_);
+    strategy_->invert_into(ws_.s_inv, ws_.s, next_);
     entry->event = strategy_->last_event();
     linalg::transpose_into(ws_.pht, ws_.hp);
     linalg::multiply_into(entry->k, ws_.pht, ws_.s_inv);
@@ -118,25 +196,45 @@ class GainSchedule {
       linalg::multiply_into(p_, ws_.i_minus_kh, ws_.p_pred);
     }
     entry->p_after = p_;
-    window_entries_.push_back(std::move(entry));
-    ++computed_;
-    while (window_entries_.size() > window_) {
-      window_entries_.pop_front();
-      ++base_;
-    }
+    ++next_;
+    return entry;
   }
+
+#if defined(KALMMIND_FAULTS)
+  void fault_park_point() {
+    std::unique_lock<std::mutex> lock(fault_mu_);
+    if (!fault_park_) return;
+    fault_parked_ = true;
+    fault_cv_.notify_all();
+    fault_cv_.wait(lock, [this] { return !fault_park_; });
+    fault_parked_ = false;
+  }
+#endif
 
   const FilterConfig<double> config_;
   const std::uint64_t fingerprint_;
   const std::size_t window_;
 
-  mutable std::mutex mu_;
+  // Advancer state: touched only by the thread holding the token.
   InverseStrategyPtr<double> strategy_;  // advanced strictly in order
-  Matrix<double> p_;                     // posterior P of iteration computed_-1
+  Matrix<double> p_;                     // posterior P of iteration next_-1
   KfWorkspace<double> ws_;
+  std::size_t next_ = 0;  // iteration the next compute() produces
+
+  // Published state, guarded by mu_.
+  mutable std::mutex mu_;
+  std::condition_variable advanced_cv_;  // an advance published or failed
   std::deque<std::shared_ptr<const Entry>> window_entries_;
   std::size_t base_ = 0;      // iteration of window_entries_.front()
-  std::size_t computed_ = 0;  // one past the newest computed iteration
+  std::size_t computed_ = 0;  // one past the newest published iteration
+  bool advancing_ = false;    // the advancer token is taken
+
+#if defined(KALMMIND_FAULTS)
+  std::mutex fault_mu_;  // see fault_park_next_advance()
+  std::condition_variable fault_cv_;
+  bool fault_park_ = false;
+  bool fault_parked_ = false;
+#endif
 };
 
 // Bounded, LRU-evicting memo of GainSchedules keyed by config fingerprint

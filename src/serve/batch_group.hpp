@@ -40,12 +40,24 @@
 //    of the bounded schedule window) -> the popped bin is requeued and the
 //    session falls back to the solo path, carrying x from the batch state
 //    and P from its last consumed schedule entry.
+//
+// Lookahead (pool mode): K_{n+1} depends on nothing a bin carries, so when
+// the leading cohort takes entry n and entry n+1 is missing, the group
+// posts one job that computes n+1 on an idle worker while the pass for n
+// runs.  The next round's bins then find their gain already computed
+// instead of waiting one full K/P iteration.  The schedule runs at most
+// one entry past the leading member's next iteration, and never slides
+// out an entry a member still needs (GainSchedule::prefetch).  Entries are
+// bit-identical either way: the schedule's single-advancer token runs the
+// same kernel sequence in the same order on whichever thread holds it.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -61,8 +73,14 @@ namespace kalmmind::serve {
 
 class BatchGroup {
  public:
-  explicit BatchGroup(std::shared_ptr<kalman::GainSchedule> schedule)
-      : schedule_(std::move(schedule)) {}
+  // Hands a lookahead job to an idle worker; false when it could not be
+  // queued (the pool is shutting down).
+  using PostJob = std::function<bool(std::function<void()>)>;
+
+  // A null `post` (manual mode) computes every entry on demand.
+  explicit BatchGroup(std::shared_ptr<kalman::GainSchedule> schedule,
+                      PostJob post = nullptr)
+      : schedule_(std::move(schedule)), post_(std::move(post)) {}
 
   std::uint64_t key() const { return schedule_->fingerprint(); }
   const kalman::FilterConfig<double>& config() const {
@@ -175,9 +193,10 @@ class BatchGroup {
                   std::vector<std::shared_ptr<Session>>& members)
       KALMMIND_REALTIME {
     const std::size_t n = cohort_[begin].n;
+    bool ready = false;
     const std::shared_ptr<const kalman::GainSchedule::Entry> entry =
-        // kalmmind-lint: allow(RT1,RT2) one bounded schedule-cache probe per cohort pass, amortized over every member; advance past a window boundary allocates the next entry for the whole fleet
-        schedule_->at(n);
+        // kalmmind-lint: allow(RT1,RT2) one bounded schedule probe per cohort pass, amortized over every member; only an entry the lookahead has not computed yet is computed here or waited for
+        schedule_->at(n, &ready);
     if (!entry) {
       // Window miss: these members fell behind the bounded schedule.  The
       // popped bins go back to the queue head and the sessions continue
@@ -197,6 +216,9 @@ class BatchGroup {
       }
       return;
     }
+    if (telemetry::enabled()) detail::count_schedule_lookup(ready);
+    // kalmmind-lint: allow(RT1,RT2) at most one job posted per group, and only by the leading cohort; the pool's queue lock is held for a push
+    if (post_) look_ahead(n, members);
 
     const auto t0 = std::chrono::steady_clock::now();
     const kalman::FilterConfig<double>& cfg = schedule_->config();
@@ -260,6 +282,25 @@ class BatchGroup {
     }
   }
 
+  // The lookahead (see the header comment), called by the cohort that
+  // just took entry n.
+  void look_ahead(std::size_t n,
+                  const std::vector<std::shared_ptr<Session>>& members) {
+    if (schedule_->computed() != n + 1) return;  // not the leading cohort
+    if (lookahead_queued_->exchange(true)) return;
+    std::size_t keep = n;  // the oldest entry a member still needs
+    for (const auto& m : members) {
+      if (m) keep = std::min(keep, m->batch_iteration());
+    }
+    auto schedule = schedule_;
+    auto queued = lookahead_queued_;
+    const bool posted = post_([schedule, queued, n, keep] {
+      queued->store(false);
+      (void)schedule->prefetch(n + 1, keep);
+    });
+    if (!posted) queued->store(false);
+  }
+
   void drop_member(SessionId id, StepResult* result,
                    std::vector<std::shared_ptr<Session>>& members) {
     result->ejected.push_back(id);
@@ -270,6 +311,10 @@ class BatchGroup {
   }
 
   const std::shared_ptr<kalman::GainSchedule> schedule_;
+  const PostJob post_;
+  // A lookahead job is queued and has not started.  Shared with the job.
+  const std::shared_ptr<std::atomic<bool>> lookahead_queued_ =
+      std::make_shared<std::atomic<bool>>(false);
 
   mutable std::mutex members_mu_;
   std::vector<std::shared_ptr<Session>> members_;

@@ -429,6 +429,21 @@ void ShardedDecodeServer::drain() {
   return Status::Ok();
 }
 
+void ShardedDecodeServer::bury_route(Route& route,
+                                     SessionStatsSnapshot final_stats,
+                                     const DecodeServer* source) {
+  // admin_mu_ serializes every prefix rewrite; readers also hold it.
+  if (source) {
+    auto tail = source->trajectory_slice(route.local, route.incarnation_copied,
+                                         std::size_t(-1));
+    for (auto& x : tail) route.prefix.push_back(std::move(x));
+  }
+  std::lock_guard<std::mutex> lock(routes_mu_);
+  route.final_stats = std::move(final_stats);
+  route.incarnation_copied = 0;  // no incarnation follows: prefix is all
+  route.dead = true;
+}
+
 [[nodiscard]] Status ShardedDecodeServer::checkpoint(SessionId id) {
   std::lock_guard<std::mutex> admin(admin_mu_);
   Route* route = nullptr;
@@ -590,12 +605,10 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
       // Non-replayable stream (degraded/ejected): it cannot move.  Capture
       // its final stats, count its stolen queue as discarded, and mark the
       // route dead — nothing vanishes silently.
-      route->final_stats = source.server->session_stats(route->local);
-      route->final_stats.discarded += queued.size();
-      {
-        std::lock_guard<std::mutex> lock(routes_mu_);
-        route->dead = true;
-      }
+      SessionStatsSnapshot final_stats =
+          source.server->session_stats(route->local);
+      final_stats.discarded += queued.size();
+      bury_route(*route, std::move(final_stats), source.server.get());
       worst = ck;
       continue;
     }
@@ -603,12 +616,10 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
     if (target >= shards_.size() ||
         !restore_route(id, *route, target, "drain", &queued)) {
       // No shard can host it right now: same dead-route accounting.
-      route->final_stats = source.server->session_stats(route->local);
-      route->final_stats.discarded += queued.size();
-      {
-        std::lock_guard<std::mutex> lock(routes_mu_);
-        route->dead = true;
-      }
+      SessionStatsSnapshot final_stats =
+          source.server->session_stats(route->local);
+      final_stats.discarded += queued.size();
+      bury_route(*route, std::move(final_stats), source.server.get());
       worst = Status::Unavailable("cluster: no shard could host a session");
       continue;
     }
@@ -694,9 +705,7 @@ void ShardedDecodeServer::failover_shard_locked(std::size_t index,
         final_stats.dropped = route->snap.dropped;
         final_stats.discarded = route->snap.discarded;
       }
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      route->dead = true;
-      route->final_stats = final_stats;
+      bury_route(*route, std::move(final_stats), nullptr);
       continue;
     }
     // Same deferred-close re-read as the drain path (routes_mu_ guards

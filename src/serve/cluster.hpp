@@ -238,7 +238,9 @@ class ShardedDecodeServer {
 
   // Decoded trajectory across incarnations: the concatenation of the
   // checkpointed prefix and the current incarnation's states — the
-  // sequence the chaos test compares bit-for-bit against a solo run.
+  // sequence the chaos test compares bit-for-bit against a solo run.  A
+  // dead route keeps every state it decoded (after a failover: up to its
+  // last checkpoint) until tick() reaps it.
   std::vector<Vector<double>> trajectory(SessionId id) const;
   SessionStatsSnapshot session_stats(SessionId id) const;
   ClusterStats stats() const;
@@ -293,6 +295,12 @@ class ShardedDecodeServer {
   // Take one snapshot + prefix copy for the route (routes_mu_ held via
   // caller contract; see implementation).
   [[nodiscard]] Status checkpoint_route(SessionId id, Route& route);
+  // Mark a route dead with its final stats (admin_mu_ held, routes_mu_
+  // not).  `source` is the shard server still holding the last
+  // incarnation, or null when it is already gone; its states not yet in
+  // the prefix are folded in, so trajectory() keeps every state decoded.
+  void bury_route(Route& route, SessionStatsSnapshot final_stats,
+                  const DecodeServer* source);
   // Fold finished routes (dead, or closed with a drained queue) into
   // retired_ and erase them (admin_mu_ held) — routes_ stays bounded on a
   // long-running cluster.

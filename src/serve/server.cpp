@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -109,7 +110,7 @@ bool DecodeServer::try_join_group_locked(Slot& slot) {
   if (!schedule) return false;  // fingerprint collision: decode solo
   GroupSlot& gslot = groups_[schedule->fingerprint()];
   if (!gslot.group) {
-    gslot.group = std::make_shared<BatchGroup>(schedule);
+    gslot.group = make_group(schedule);
   } else if (!(gslot.group->config() == cfg.filter)) {
     return false;  // collision against a live group: decode solo
   }
@@ -173,14 +174,18 @@ bool DecodeServer::close_session(SessionId id, CloseMode mode) {
   return true;
 }
 
-std::size_t DecodeServer::step_timed(Session& session) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t steps = session.step_pending(options_.max_batch, &latency_);
+void DecodeServer::note_busy_since(std::chrono::steady_clock::time_point t0) {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
   busy_us_.fetch_add(std::uint64_t(us), std::memory_order_relaxed);
   worker_busy_counter().add(std::uint64_t(us));
+}
+
+std::size_t DecodeServer::step_timed(Session& session) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t steps = session.step_pending(options_.max_batch, &latency_);
+  note_busy_since(t0);
   return steps;
 }
 
@@ -188,12 +193,24 @@ BatchGroup::StepResult DecodeServer::step_timed(BatchGroup& group) {
   const auto t0 = std::chrono::steady_clock::now();
   BatchGroup::StepResult result =
       group.step_pending(options_.max_batch, &latency_);
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  busy_us_.fetch_add(std::uint64_t(us), std::memory_order_relaxed);
-  worker_busy_counter().add(std::uint64_t(us));
+  note_busy_since(t0);
   return result;
+}
+
+std::shared_ptr<BatchGroup> DecodeServer::make_group(
+    std::shared_ptr<kalman::GainSchedule> schedule) {
+  if (!pool_) return std::make_shared<BatchGroup>(std::move(schedule));
+  // Lookahead jobs run on the pool and count as worker busy time.  The
+  // destructor joins the pool before any member dies, so `this` outlives
+  // every job.
+  return std::make_shared<BatchGroup>(
+      std::move(schedule), [this](std::function<void()> job) {
+        return pool_->try_submit([this, job = std::move(job)] {
+          const auto t0 = std::chrono::steady_clock::now();
+          job();
+          note_busy_since(t0);
+        });
+      });
 }
 
 void DecodeServer::dispatch_locked(SessionId id, Slot& slot) {
@@ -358,6 +375,14 @@ std::shared_ptr<Session> DecodeServer::find(SessionId id) const {
   return it == slots_.end() ? nullptr : it->second.session;
 }
 
+std::shared_ptr<const kalman::GainSchedule> DecodeServer::group_schedule(
+    SessionId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = slots_.find(id);
+  if (it == slots_.end() || !it->second.group) return nullptr;
+  return it->second.group->schedule();
+}
+
 std::vector<Vector<double>> DecodeServer::trajectory(SessionId id) const {
   auto session = find(id);
   return session ? session->trajectory() : std::vector<Vector<double>>{};
@@ -467,7 +492,7 @@ SessionId DecodeServer::restore_session(SessionConfig config,
       return kInvalidSession;
     }
     GroupSlot& gslot = groups_[schedule->fingerprint()];
-    if (!gslot.group) gslot.group = std::make_shared<BatchGroup>(schedule);
+    if (!gslot.group) gslot.group = make_group(schedule);
     Slot& slot = slots_[id];
     slot.session = session;
     session->enable_batching();

@@ -21,7 +21,10 @@
 // flag, one consumer at a time — so batched decode order per session is
 // still the single-threaded result, bit for bit.  Sessions that degrade,
 // fall out of the schedule window, or diverge eject back to the solo path
-// and are rescheduled individually.
+// and are rescheduled individually.  With a pool, each group keeps its
+// schedule one entry ahead of its leading cohort on an idle worker, so a
+// round's bins find K already computed (serve/batch_group.hpp); manual
+// mode computes every entry on demand.
 //
 // Session admission is exception-free: open_session() validates via the
 // Status-returning check() chain and reports failure through a Status.
@@ -120,6 +123,10 @@ class DecodeServer {
   std::vector<Vector<double>> trajectory_slice(SessionId id, std::size_t from,
                                                std::size_t to) const;
   std::vector<core::IterationTiming> timings(SessionId id) const;
+  // The gain schedule the session's batch group reads; nullptr while the
+  // session decodes solo (or is unknown).
+  std::shared_ptr<const kalman::GainSchedule> group_schedule(
+      SessionId id) const;
   SessionStatsSnapshot session_stats(SessionId id) const;
   ServerStats stats() const;
 
@@ -201,6 +208,11 @@ class DecodeServer {
   // plus the kalmmind.serve.worker_busy_us_total counter.
   std::size_t step_timed(Session& session);
   BatchGroup::StepResult step_timed(BatchGroup& group);
+  void note_busy_since(std::chrono::steady_clock::time_point t0);
+  // A BatchGroup over `schedule`, posting its lookahead jobs to the pool
+  // (none in manual mode).
+  std::shared_ptr<BatchGroup> make_group(
+      std::shared_ptr<kalman::GainSchedule> schedule);
   // Try to place a just-admitted session into a batch group.  Returns true
   // on success (slot.group set, session switched to batched mode).
   bool try_join_group_locked(Slot& slot);

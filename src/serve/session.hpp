@@ -66,6 +66,8 @@ struct ServeTelemetry {
   telemetry::Counter& degradations;
   telemetry::Counter& quarantine_dropped;
   telemetry::Counter& discarded;
+  telemetry::Counter& schedule_ready;
+  telemetry::Counter& schedule_waited;
   telemetry::Gauge& queued_bins;
 
   static ServeTelemetry& get() {
@@ -90,12 +92,28 @@ struct ServeTelemetry {
             "kalmmind.serve.quarantine_dropped_total"),
         telemetry::MetricsRegistry::global().counter(
             "kalmmind.serve.discarded_total"),
+        telemetry::MetricsRegistry::global().counter(
+            "kalmmind.serve.gain_schedule.ready_total"),
+        telemetry::MetricsRegistry::global().counter(
+            "kalmmind.serve.gain_schedule.waited_total"),
         telemetry::MetricsRegistry::global().gauge(
             "kalmmind.serve.queued_bins"),
     };
     return t;
   }
 };
+
+// One cohort pass's gain-schedule lookup: its entry was computed before
+// the pass asked for it, or the pass computed it or waited for it.
+inline void count_schedule_lookup(bool ready) {
+  // kalmmind-lint: allow(RT1,RT2) registry handles resolve once per process (function-local static); steady-state passes only touch the returned counters' atomics
+  auto& tm = ServeTelemetry::get();
+  if (ready) {
+    tm.schedule_ready.add();
+  } else {
+    tm.schedule_waited.add();
+  }
+}
 
 }  // namespace detail
 

@@ -47,15 +47,23 @@ class ThreadPool {
 
   // Enqueue one job.  Throws if the pool is shutting down.
   void submit(std::function<void()> job) {
+    if (!try_submit(std::move(job))) {
+      throw std::runtime_error("ThreadPool::submit: pool is shut down");
+    }
+  }
+
+  // Enqueue one job unless the pool is shutting down; returns whether it
+  // was enqueued.  For optional work posted from inside running jobs,
+  // which may race shutdown().
+  bool try_submit(std::function<void()> job) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool::submit: pool is shut down");
-      }
+      if (stopping_) return false;
       queue_.push_back(std::move(job));
       ++pending_;
     }
     work_cv_.notify_one();
+    return true;
   }
 
   // Block until every job submitted so far (and any jobs those jobs

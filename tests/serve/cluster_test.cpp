@@ -369,6 +369,63 @@ TEST(ServeClusterTest, TickReapsFinishedRoutesAndKeepsConservation) {
   EXPECT_EQ(cluster.stats().decoded, 2 * kSteps + 1);
 }
 
+// A route that drain_shard marks dead keeps every state it decoded until
+// tick() reaps it, so trajectory() agrees with ClusterStats.decoded.  The
+// shape that loses sessions: one session aged past the schedule window,
+// six late sessions of 500 bins (those sharing the aged session's shard
+// cannot batch, so they cannot move), then drain_shard(0).
+TEST(ServeClusterTest, DeadRoutesKeepTheirDecodedStatesUntilReaped) {
+  const auto model = testing::small_model(6);
+  SessionConfig cfg = interleaved_config(model);
+  cfg.queue_capacity = 8192;
+  constexpr std::size_t kAged = 5000;
+  constexpr std::size_t kLate = 6;
+  constexpr std::size_t kSteps = 500;
+
+  ClusterOptions opts;
+  opts.shards = 2;
+  opts.high_watermark = std::size_t(1) << 30;
+  opts.low_watermark = opts.high_watermark / 2;
+  ShardedDecodeServer cluster(opts);
+  const SessionId aged = cluster.open_session(cfg);
+  const auto aged_zs = testing::simulate_measurements(model, kAged, 80);
+  for (const auto& z : aged_zs) ASSERT_TRUE(cluster.submit(aged, z).ok());
+  cluster.drain();
+
+  std::vector<SessionId> ids;
+  std::vector<std::vector<Vector<double>>> streams;
+  for (std::size_t s = 0; s < kLate; ++s) {
+    ids.push_back(cluster.open_session(cfg));
+    streams.push_back(testing::simulate_measurements(model, kSteps, 81 + s));
+  }
+  for (std::size_t n = 0; n < kSteps; ++n)
+    for (std::size_t s = 0; s < kLate; ++s)
+      ASSERT_TRUE(cluster.submit(ids[s], streams[s][n]).ok());
+  cluster.drain();
+  EXPECT_FALSE(cluster.drain_shard(0).ok());  // some session found no host
+
+  std::size_t lost = 0;
+  std::uint64_t states = cluster.trajectory(aged).size();
+  for (std::size_t s = 0; s < kLate; ++s) {
+    SCOPED_TRACE(s);
+    const auto trajectory = cluster.trajectory(ids[s]);
+    expect_bit_identical(trajectory, solo_trajectory(cfg, streams[s]));
+    states += trajectory.size();
+    if (!cluster.submit(ids[s], streams[s][0]).ok()) ++lost;
+  }
+  EXPECT_GT(lost, 0u);  // the shape did lose sessions
+  cluster.drain();
+  const ClusterStats stats = cluster.stats();
+  EXPECT_EQ(stats.decoded, states + (kLate - lost));  // + the probe bins
+
+  cluster.tick();  // reaping still folds the dead routes away
+  EXPECT_EQ(cluster.stats().sessions_reaped, lost);
+  for (std::size_t s = 0; s < kLate; ++s) {
+    if (cluster.trajectory(ids[s]).empty()) continue;
+    EXPECT_EQ(cluster.trajectory(ids[s]).size(), kSteps + 1);
+  }
+}
+
 // Stall detection without fault hooks: the pumpers simply stop reaching a
 // shard with a backlog.  The ladder must climb healthy -> probe ->
 // quarantine from the observable condition alone (queued bins, zero step

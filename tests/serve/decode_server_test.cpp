@@ -1,15 +1,21 @@
 // DecodeServer behavior: deterministic decoding, backpressure, deadline
-// accounting, admission control and clean shutdown.
+// accounting, admission control, clean shutdown, and the gain-schedule
+// lookahead of pool-mode batch groups.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kalman/factory.hpp"
 #include "kalman/filter.hpp"
+#include "linalg/simd/simd.hpp"
+#include "neural/dataset.hpp"
 #include "serve/serve.hpp"
+#include "telemetry/telemetry.hpp"
 #include "../kalman/kalman_test_util.hpp"
 
 namespace kalmmind::serve {
@@ -352,6 +358,217 @@ TEST(ServeDecodeServerTest, StatsSnapshotAggregatesSessions) {
   EXPECT_GT(stats.steps_per_second, 0.0);
   EXPECT_GT(stats.uptime_s, 0.0);
   EXPECT_FALSE(stats.to_string().empty());
+}
+
+// ---- gain-schedule lookahead (docs/serving.md) ----------------------------
+
+// The paper's motor dims (x = 6, z = 164): one K/P iteration is two z = 164
+// Newton steps, the cost the lookahead takes off a bin's path.  Trained on
+// the shortest split build_dataset accepts, to keep the sanitizer runs fast.
+const neural::NeuralDataset& motor_dataset() {
+  static const neural::NeuralDataset ds = [] {
+    neural::DatasetSpec spec = neural::motor_spec();
+    spec.train_steps = 2 * spec.encoding.channels;
+    spec.test_steps = 64;
+    return neural::build_dataset(spec);
+  }();
+  return ds;
+}
+
+SessionConfig motor_config() {
+  SessionConfig cfg;
+  cfg.filter.model = motor_dataset().model;
+  cfg.filter.strategy = kalman::StrategySpec::parse(
+      "interleaved(calc=gauss,calc_freq=0,approx=2,policy=1)");
+  cfg.queue_capacity = 64;
+  return cfg;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return telemetry::MetricsRegistry::global().counter(name).value();
+}
+
+// The lookahead job runs on a worker after drain() returns: wait until the
+// schedule holds `target` entries.  False on timeout.
+bool wait_for_computed(const kalman::GainSchedule& schedule,
+                       std::size_t target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (schedule.computed() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+// Paced rounds: one bin per session, decoded, then the lookahead given time
+// to compute the next entry — so every round after the first finds its K
+// ready.  Checks the depth bound (the lead + 1) after every round.
+void run_paced_rounds(DecodeServer& server, const std::vector<SessionId>& ids,
+                      const std::vector<std::vector<Vector<double>>>& streams,
+                      std::size_t rounds) {
+  const auto schedule = server.group_schedule(ids.front());
+  ASSERT_NE(schedule, nullptr);
+  for (std::size_t n = 0; n < rounds; ++n) {
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      ASSERT_EQ(server.submit(ids[s], streams[s][n]), PushResult::kAccepted);
+    }
+    server.drain();
+    const std::size_t lead = n + 1;  // every member's next iteration
+    EXPECT_LE(schedule->computed(), lead + 1) << "round " << n;
+    ASSERT_TRUE(wait_for_computed(*schedule, lead + 1)) << "round " << n;
+  }
+}
+
+// A paced 2-worker, 16-session motor fleet whose every K after the first
+// is computed ahead by the lookahead decodes bit-identically to the solo
+// KalmanFilter under every SIMD tier the host runs: the schedule's token
+// hands the kernel sequence between worker threads in iteration order.
+TEST(ServeDecodeServerTest, LookaheadMotorFleetBitIdenticalToSoloOnEveryTier) {
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kRounds = 4;
+  const SessionConfig cfg = motor_config();
+  const auto& bins = motor_dataset().test_measurements;
+  ASSERT_GE(bins.size(), kSessions * 3 + kRounds);
+  std::vector<std::vector<Vector<double>>> streams(kSessions);
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    streams[s].assign(bins.begin() + long(3 * s),
+                      bins.begin() + long(3 * s + kRounds));
+  }
+
+  const linalg::simd::Tier entry_tier = linalg::simd::active_tier();
+  for (const linalg::simd::Tier tier : linalg::simd::available_tiers()) {
+    SCOPED_TRACE(linalg::simd::tier_name(tier));
+    ASSERT_TRUE(linalg::simd::set_dispatch_tier(tier));
+    ServerOptions options;
+    options.workers = 2;
+    DecodeServer server(options);
+    std::vector<SessionId> ids;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      ids.push_back(server.open_session(cfg));
+    }
+    run_paced_rounds(server, ids, streams, kRounds);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      SCOPED_TRACE(s);
+      expect_bit_identical(server.trajectory(ids[s]),
+                           sequential_trajectory(cfg, streams[s]));
+    }
+    EXPECT_EQ(server.stats().total_batched_steps, kSessions * kRounds);
+  }
+  linalg::simd::set_dispatch_tier(entry_tier);
+}
+
+// The depth bound and the ready/waited counters: the first pass computes
+// its K, every later one finds it ready, and the schedule never runs more
+// than one entry past the lead, even with idle workers.
+TEST(ServeDecodeServerTest, LookaheadRunsExactlyOneEntryAheadOfTheLead) {
+  const auto model = testing::small_model(6);
+  const SessionConfig cfg = interleaved_config(model);
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kRounds = 20;
+  std::vector<std::vector<Vector<double>>> streams;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    streams.push_back(testing::simulate_measurements(model, kRounds, 40 + s));
+  }
+  const std::uint64_t ready0 =
+      counter_value("kalmmind.serve.gain_schedule.ready_total");
+  const std::uint64_t waited0 =
+      counter_value("kalmmind.serve.gain_schedule.waited_total");
+
+  DecodeServer server({/*workers=*/2, 8});
+  std::vector<SessionId> ids;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ids.push_back(server.open_session(cfg));
+  }
+  run_paced_rounds(server, ids, streams, kRounds);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.group_schedule(ids[0])->computed(), kRounds + 1);
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    expect_bit_identical(server.trajectory(ids[s]),
+                         sequential_trajectory(cfg, streams[s]));
+  }
+  if (telemetry::kCompiledIn) {
+    // A round's submits can race the group pass and split it, so passes
+    // per round are >= 1; only round 0's first pass lacks its entry.
+    EXPECT_EQ(counter_value("kalmmind.serve.gain_schedule.waited_total") -
+                  waited0,
+              1u);
+    EXPECT_GE(counter_value("kalmmind.serve.gain_schedule.ready_total") -
+                  ready0,
+              kRounds - 1);
+  }
+}
+
+// The lookahead never slides out an entry a live member still needs: with
+// a 4-entry window and one member idle at iteration 0, the lead's next
+// entry waits for demand instead of being computed ahead.
+TEST(ServeDecodeServerTest, LookaheadKeepsTheTrailingMembersEntry) {
+  const auto model = testing::small_model(6);
+  const SessionConfig cfg = interleaved_config(model);
+  ServerOptions options;
+  options.workers = 2;
+  options.gain_window = 4;
+  DecodeServer server(options);
+  const SessionId lead = server.open_session(cfg);
+  const SessionId trailing = server.open_session(cfg);
+  const auto zl = testing::simulate_measurements(model, 4, 61);
+  const auto zt = testing::simulate_measurements(model, 1, 62);
+
+  const auto schedule = server.group_schedule(lead);
+  ASSERT_NE(schedule, nullptr);
+  for (std::size_t n = 0; n < 3; ++n) {
+    ASSERT_EQ(server.submit(lead, zl[n]), PushResult::kAccepted);
+    server.drain();
+  }
+  ASSERT_TRUE(wait_for_computed(*schedule, 4));  // [0, 4): window full
+  ASSERT_EQ(server.submit(lead, zl[3]), PushResult::kAccepted);
+  server.drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(schedule->computed(), 4u);  // entry 4 would evict entry 0
+  EXPECT_EQ(schedule->base(), 0u);
+
+  ASSERT_EQ(server.submit(trailing, zt[0]), PushResult::kAccepted);
+  server.drain();
+  const SessionStatsSnapshot t = server.session_stats(trailing);
+  EXPECT_TRUE(t.batched);
+  EXPECT_EQ(t.batched_steps, 1u);
+  expect_bit_identical(server.trajectory(trailing),
+                       sequential_trajectory(cfg, zt));
+}
+
+// Manual mode (poll(), the cluster's shards) computes each entry on demand:
+// nothing ahead of the lead, and every pass counts as waited.
+TEST(ServeDecodeServerTest, ManualModeComputesNothingAhead) {
+  const auto model = testing::small_model(6);
+  const SessionConfig cfg = interleaved_config(model);
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kRounds = 10;
+  const std::uint64_t ready0 =
+      counter_value("kalmmind.serve.gain_schedule.ready_total");
+  const std::uint64_t waited0 =
+      counter_value("kalmmind.serve.gain_schedule.waited_total");
+
+  DecodeServer server({ServerOptions::kManual, 8});
+  std::vector<SessionId> ids;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ids.push_back(server.open_session(cfg));
+  }
+  const auto schedule = server.group_schedule(ids[0]);
+  ASSERT_NE(schedule, nullptr);
+  const auto zs = testing::simulate_measurements(model, kRounds, 77);
+  for (std::size_t n = 0; n < kRounds; ++n) {
+    for (const SessionId id : ids) server.submit(id, zs[n]);
+    server.drain();
+    EXPECT_EQ(schedule->computed(), n + 1) << "round " << n;
+  }
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(counter_value("kalmmind.serve.gain_schedule.ready_total") -
+                  ready0,
+              0u);
+    EXPECT_EQ(counter_value("kalmmind.serve.gain_schedule.waited_total") -
+                  waited0,
+              kRounds);
+  }
 }
 
 }  // namespace

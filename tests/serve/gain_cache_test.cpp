@@ -1,11 +1,15 @@
 // GainSchedule / GainScheduleCache: memoized gain trajectories shared
 // across same-config sessions.  Cache mechanics (hit/miss/LRU eviction,
 // ref-count survival), window fall-out, bit-identity of entries against a
-// solo filter's gains, and the concurrent warm-up path the tier-1 TSan
-// rerun exercises.
+// solo filter's gains, and the concurrent paths the tier-1 TSan rerun
+// exercises: warm-up races, readers beside an advancer, prefetch racing
+// demand, and a lookup beside a parked advance.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -194,7 +198,142 @@ TEST(ServeGainCacheTest, ConcurrentWarmUpYieldsOneTrajectory) {
   }
 }
 
+// Bitwise equality of two schedule entries (K, P and the inverse path).
+void expect_same_entry(const GainSchedule::Entry& got,
+                       const GainSchedule::Entry& want, std::size_t n) {
+  ASSERT_EQ(got.k.rows(), want.k.rows());
+  ASSERT_EQ(got.k.cols(), want.k.cols());
+  for (std::size_t i = 0; i < want.k.rows(); ++i)
+    for (std::size_t j = 0; j < want.k.cols(); ++j)
+      ASSERT_EQ(got.k(i, j), want.k(i, j)) << "K step " << n;
+  for (std::size_t i = 0; i < want.p_after.rows(); ++i)
+    for (std::size_t j = 0; j < want.p_after.cols(); ++j)
+      ASSERT_EQ(got.p_after(i, j), want.p_after(i, j)) << "P step " << n;
+  EXPECT_EQ(got.event.path, want.event.path) << "step " << n;
+}
+
+// Readers look up computed entries while one thread extends the schedule:
+// every entry any thread saw must equal a sequentially built schedule's.
+TEST(ServeGainCacheTest, ConcurrentReadersBesideOneAdvancerMatchSequential) {
+  const FilterConfigD cfg = interleaved_config(5, 31);
+  constexpr std::size_t kSteps = 96;
+  constexpr std::size_t kReaders = 3;
+  GainSchedule sequential(cfg);
+  GainSchedule live(cfg);
+
+  std::atomic<bool> done{false};
+  std::vector<std::vector<std::pair<std::size_t,
+                                    std::shared_ptr<const GainSchedule::Entry>>>>
+      seen(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::size_t k = r;
+      while (!done.load()) {
+        const std::size_t computed = live.computed();
+        if (computed == 0) continue;
+        k = (k * 7 + 3) % computed;
+        auto entry = live.at(k);
+        if (seen[r].size() < 4096) seen[r].emplace_back(k, std::move(entry));
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::size_t n = 0; n < kSteps; ++n) ASSERT_NE(live.at(n), nullptr);
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  for (std::size_t n = 0; n < kSteps; ++n) {
+    expect_same_entry(*live.at(n), *sequential.at(n), n);
+  }
+  for (const auto& reader : seen) {
+    for (const auto& [k, entry] : reader) {
+      ASSERT_NE(entry, nullptr);
+      ASSERT_EQ(entry.get(), live.at(k).get()) << "step " << k;
+    }
+  }
+}
+
+// The serving shape: a consumer asks for each entry in turn while a
+// lookahead thread keeps trying to compute the next one.  Whoever wins
+// each advance, the trajectory is the sequential one.
+TEST(ServeGainCacheTest, PrefetchRacingDemandStaysSequential) {
+  const FilterConfigD cfg = interleaved_config(5, 47);
+  constexpr std::size_t kSteps = 96;
+  GainSchedule sequential(cfg);
+  GainSchedule live(cfg);
+
+  std::atomic<bool> done{false};
+  std::thread lookahead([&] {
+    while (!done.load()) {
+      (void)live.prefetch(live.computed(), 0);
+      std::this_thread::yield();
+    }
+  });
+  for (std::size_t n = 0; n < kSteps; ++n) ASSERT_NE(live.at(n), nullptr);
+  done.store(true);
+  lookahead.join();
+
+  for (std::size_t n = 0; n < kSteps; ++n) {
+    expect_same_entry(*live.at(n), *sequential.at(n), n);
+  }
+}
+
+TEST(ServeGainCacheTest, PrefetchComputesOnlyTheNextEntryInsideTheWindow) {
+  const FilterConfigD cfg = interleaved_config();
+  GainSchedule schedule(cfg, /*window=*/4);
+
+  EXPECT_FALSE(schedule.prefetch(1, 0));  // not the next entry
+  EXPECT_TRUE(schedule.prefetch(0, 0));
+  EXPECT_FALSE(schedule.prefetch(0, 0));  // already computed
+  ASSERT_NE(schedule.at(3), nullptr);     // [0, 4): the window is full
+  EXPECT_EQ(schedule.computed(), 4u);
+
+  // Entry 4 would slide entry 0 out: refused while a consumer needs 0.
+  EXPECT_FALSE(schedule.prefetch(4, 0));
+  EXPECT_EQ(schedule.computed(), 4u);
+  EXPECT_EQ(schedule.base(), 0u);
+  EXPECT_TRUE(schedule.prefetch(4, 1));  // oldest needed entry is 1
+  EXPECT_EQ(schedule.computed(), 5u);
+  EXPECT_EQ(schedule.base(), 1u);
+}
+
 #if defined(KALMMIND_FAULTS)
+// A lookup of an entry that is already computed must not wait for an
+// advance in flight: the advance runs outside the schedule's lock.  The
+// advance is parked mid-iteration by the fault hook; the lookups run on
+// another thread so a regression fails on the timeout instead of hanging.
+TEST(ServeGainCacheTest, ComputedEntryLookupNeverWaitsForAnAdvanceInFlight) {
+  const FilterConfigD cfg = interleaved_config(5, 59);
+  GainSchedule schedule(cfg);
+  ASSERT_NE(schedule.at(3), nullptr);
+  const auto entry2 = schedule.at(2);
+
+  schedule.fault_park_next_advance();
+  std::thread advancer([&] { (void)schedule.at(4); });
+  schedule.fault_wait_parked();
+
+  auto lookups = std::async(std::launch::async, [&] {
+    const bool same = schedule.at(2).get() == entry2.get();
+    const bool computed = schedule.computed() == 4u;
+    // The token is taken: a prefetch declines instead of waiting.
+    const bool declined = !schedule.prefetch(4, 0);
+    return same && computed && declined;
+  });
+  const bool returned =
+      lookups.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  schedule.fault_release_advance();
+  advancer.join();
+  ASSERT_TRUE(returned) << "a lookup waited for the parked advance";
+  EXPECT_TRUE(lookups.get());
+  EXPECT_EQ(schedule.computed(), 5u);
+
+  GainSchedule sequential(cfg);
+  for (std::size_t n = 0; n < 5; ++n) {
+    expect_same_entry(*schedule.at(n), *sequential.at(n), n);
+  }
+}
+
 // Two different configs forced onto one cache key: the ==-verification must
 // refuse to serve the wrong schedule (nullptr, counted as a collision, and
 // journaled) rather than silently decoding with another filter's gains.
