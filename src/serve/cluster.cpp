@@ -72,9 +72,7 @@ struct ShardedDecodeServer::Route {
   CloseMode close_mode = CloseMode::kDrain;
   bool dead = false;     // non-replayable stream lost its shard
 
-  std::uint64_t accepted = 0;          // bins the cluster accepted
-  std::uint64_t rejected_overload = 0; // admission bounces
-  std::uint64_t rejected_full = 0;     // session-queue-full bounces
+  AdmissionCounters admission;
   // Failover losses acknowledged by the cluster: bins accepted but neither
   // in the snapshot's counters nor resumable (queued or decoded after the
   // last checkpoint on a shard that died).
@@ -90,6 +88,14 @@ struct ShardedDecodeServer::Route {
 
   // Final stats of a dead route (captured before its shard was torn down).
   SessionStatsSnapshot final_stats;
+
+  // Every session counter this route stands for: its incarnation's block
+  // (`live`, or the final stats once dead) plus the failover losses.
+  SessionCounters totals(const SessionStatsSnapshot& live) const {
+    SessionCounters c = dead ? final_stats.counters() : live.counters();
+    c.discarded += discarded_failover;
+    return c;
+  }
 };
 
 ShardedDecodeServer::ShardedDecodeServer(ClusterOptions options,
@@ -281,7 +287,7 @@ SessionId ShardedDecodeServer::open_session(SessionConfig config,
       if (shard.base_queued >= options_.high_watermark) shard.shedding = true;
     }
     if (shard.shedding) {
-      if (options_.shed == ShedPolicy::kRejectNew) {
+      if (options_.shed == BackpressurePolicy::kReject) {
         ++shard.admission_rejected;
         telemetry::FlightRecorder::global().record(
             telemetry::FlightEventKind::kAdmissionRejected, id, 0,
@@ -290,7 +296,7 @@ SessionId ShardedDecodeServer::open_session(SessionConfig config,
         {
           std::lock_guard<std::mutex> rl(routes_mu_);
           auto it = routes_.find(id);
-          if (it != routes_.end()) ++it->second->rejected_overload;
+          if (it != routes_.end()) ++it->second->admission.rejected_overload;
         }
         return Status::Overloaded(
             "cluster: shard over admission watermark; retry with backoff");
@@ -309,10 +315,10 @@ SessionId ShardedDecodeServer::open_session(SessionConfig config,
       switch (r) {
         case PushResult::kAccepted:
         case PushResult::kDroppedOldest:
-          ++it->second->accepted;
+          ++it->second->admission.accepted;
           break;
         case PushResult::kRejectedFull:
-          ++it->second->rejected_full;
+          ++it->second->admission.rejected_full;
           break;
         default:
           break;
@@ -497,13 +503,11 @@ void ShardedDecodeServer::reap_routes_locked() {
       if (it == routes_.end()) continue;
       route = it->second.get();
     }
-    SessionStatsSnapshot s;
-    if (route->dead) {
-      s = route->final_stats;
-    } else {
+    SessionStatsSnapshot live;
+    if (!route->dead) {
       Shard& shard = *shards_[route->shard];
-      s = shard.server->session_stats(route->local);
-      if (s.queue_depth != 0) continue;  // kDrain still working the tail
+      live = shard.server->session_stats(route->local);
+      if (live.queue_depth != 0) continue;  // kDrain still working the tail
       // Free the shard-local slot too.  remove_session's manual-mode
       // contract wants no poll() inside the server, so briefly quiesce —
       // restoring the prior pause flag, which a stall fault may own.
@@ -513,15 +517,9 @@ void ShardedDecodeServer::reap_routes_locked() {
       shard.paused.store(was_paused);
     }
     std::lock_guard<std::mutex> lock(routes_mu_);
-    retired_.submitted += route->accepted;
-    retired_.rejected_overload += route->rejected_overload;
-    retired_.rejected_full += route->rejected_full;
-    retired_.decoded += s.steps;
-    retired_.invalid_steps += s.invalid_steps;
-    retired_.quarantine_dropped += s.quarantine_dropped;
-    retired_.dropped += s.dropped;
-    retired_.discarded += s.discarded + route->discarded_failover;
-    ++retired_.routes;
+    retired_admission_ += route->admission;
+    retired_ += route->totals(live);
+    ++routes_reaped_;
     routes_.erase(id);
   }
 }
@@ -556,12 +554,21 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
   if (queued)
     for (auto& z : *queued)
       shards_[target]->server->submit(local, std::move(z));
+  bool close = false;
+  CloseMode close_mode = CloseMode::kDrain;
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     route.shard = target;
     route.local = local;
     route.incarnation_copied = 0;  // fresh incarnation: prefix is its past
+    // close_session writes closed/close_mode under routes_mu_.  A close
+    // that saw the old (fenced) shard was deferred, and is applied to the
+    // new incarnation here; one that runs after this rewrite reaches it
+    // directly.
+    close = route.closed;
+    close_mode = route.close_mode;
   }
+  if (close) shards_[target]->server->close_session(local, close_mode);
   ++sessions_migrated_;
   telemetry::FlightRecorder::global().record(
       telemetry::FlightEventKind::kSessionMigrated, id, snap.steps, target,
@@ -601,42 +608,22 @@ bool ShardedDecodeServer::restore_route(SessionId id, Route& route,
     // exactly its undecoded tail — the migration is lossless.
     const Status ck = checkpoint_route(id, *route);
     auto queued = source.server->steal_queue(route->local);
-    if (!ck.ok()) {
-      // Non-replayable stream (degraded/ejected): it cannot move.  Capture
-      // its final stats, count its stolen queue as discarded, and mark the
-      // route dead — nothing vanishes silently.
-      SessionStatsSnapshot final_stats =
-          source.server->session_stats(route->local);
-      final_stats.discarded += queued.size();
-      bury_route(*route, std::move(final_stats), source.server.get());
-      worst = ck;
-      continue;
-    }
-    const std::size_t target = place(id, index);
+    const std::size_t target = ck.ok() ? place(id, index) : shards_.size();
     if (target >= shards_.size() ||
         !restore_route(id, *route, target, "drain", &queued)) {
-      // No shard can host it right now: same dead-route accounting.
+      // A non-replayable stream (degraded/ejected), or no shard can host
+      // it (F1, docs/robustness.md): capture its final stats, count its
+      // stolen queue as discarded, and mark the route dead — nothing
+      // vanishes silently.
       SessionStatsSnapshot final_stats =
           source.server->session_stats(route->local);
       final_stats.discarded += queued.size();
       bury_route(*route, std::move(final_stats), source.server.get());
-      worst = Status::Unavailable("cluster: no shard could host a session");
+      worst = ck.ok()
+                  ? Status::Unavailable("cluster: no shard could host a session")
+                  : ck;
       continue;
     }
-    // closed/close_mode are written by close_session under routes_mu_
-    // (concurrently — a close deferred by our fence), so re-read them
-    // under it.  Reading after the route rewrite means a deferral either
-    // lands here or applied itself directly to the new incarnation.
-    bool deferred_close = false;
-    CloseMode deferred_mode = CloseMode::kDrain;
-    {
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      deferred_close = route->closed;
-      deferred_mode = route->close_mode;
-    }
-    if (deferred_close)
-      shards_[route->shard]->server->close_session(route->local,
-                                                  deferred_mode);
     {
       std::lock_guard<std::mutex> lock(source.adm_mu);
       ++source.migrations_out;
@@ -682,44 +669,21 @@ void ShardedDecodeServer::failover_shard_locked(std::size_t index,
     // death.  The client's resubmission cursor (next_expected_bin) starts
     // them over; acknowledging them here keeps conservation closed.
     const std::uint64_t accounted =
-        (route->has_snap
-             ? route->snap.steps + route->snap.invalid_steps +
-                   route->snap.quarantine_dropped + route->snap.dropped +
-                   route->snap.discarded
-             : 0) +
+        (route->has_snap ? route->snap.accounted() : 0) +
         route->discarded_failover;
-    if (route->accepted > accounted)
-      route->discarded_failover += route->accepted - accounted;
+    if (route->admission.accepted > accounted)
+      route->discarded_failover += route->admission.accepted - accounted;
 
     const std::size_t target = place(id, index);
     if (target >= shards_.size() ||
         !restore_route(id, *route, target, "failover", nullptr)) {
       // Restore rejected (e.g. non-batchable config).  The stream's
-      // surviving history is its last snapshot: synthesize final stats
-      // from the carried counters so conservation stays closed.
+      // surviving history is its last snapshot: its carried counter block
+      // becomes the final stats, so conservation stays closed.
       SessionStatsSnapshot final_stats;
-      if (route->has_snap) {
-        final_stats.steps = route->snap.steps;
-        final_stats.invalid_steps = route->snap.invalid_steps;
-        final_stats.quarantine_dropped = route->snap.quarantine_dropped;
-        final_stats.dropped = route->snap.dropped;
-        final_stats.discarded = route->snap.discarded;
-      }
+      if (route->has_snap) final_stats.counters() = route->snap.counters();
       bury_route(*route, std::move(final_stats), nullptr);
-      continue;
     }
-    // Same deferred-close re-read as the drain path (routes_mu_ guards
-    // closed/close_mode against a concurrent close_session).
-    bool deferred_close = false;
-    CloseMode deferred_mode = CloseMode::kDrain;
-    {
-      std::lock_guard<std::mutex> lock(routes_mu_);
-      deferred_close = route->closed;
-      deferred_mode = route->close_mode;
-    }
-    if (deferred_close)
-      shards_[route->shard]->server->close_session(route->local,
-                                                  deferred_mode);
   }
 }
 
@@ -870,15 +834,12 @@ std::size_t ShardedDecodeServer::next_expected_bin(SessionId id) const {
     std::lock_guard<std::mutex> lock(routes_mu_);
     auto it = routes_.find(id);
     if (it == routes_.end()) return 0;
-    if (it->second->dead) {
-      const auto& f = it->second->final_stats;
-      return f.steps + f.invalid_steps + f.quarantine_dropped;
-    }
+    if (it->second->dead) return it->second->final_stats.consumed();
     shard_index = it->second->shard;
     local = it->second->local;
   }
   const auto s = shards_[shard_index]->server->session_stats(local);
-  return s.steps + s.invalid_steps + s.quarantine_dropped + s.queue_depth;
+  return s.consumed() + s.queue_depth;
 }
 
 std::size_t ShardedDecodeServer::shard_of(SessionId id) const {
@@ -926,32 +887,28 @@ ClusterStats ShardedDecodeServer::stats() const {
   std::lock_guard<std::mutex> lock(routes_mu_);
   // Sessions reaped by tick() live on as aggregate counters: the
   // conservation law closes over live routes + retired totals.
-  out.sessions_reaped = retired_.routes;
-  out.submitted += retired_.submitted;
-  out.rejected_overload += retired_.rejected_overload;
-  out.rejected_full += retired_.rejected_full;
-  out.decoded += retired_.decoded;
-  out.invalid_steps += retired_.invalid_steps;
-  out.quarantine_dropped += retired_.quarantine_dropped;
-  out.dropped += retired_.dropped;
-  out.discarded += retired_.discarded;
+  out.sessions_reaped = routes_reaped_;
+  AdmissionCounters admission = retired_admission_;
+  SessionCounters totals = retired_;
   for (const auto& [id, route_ptr] : routes_) {
     const Route& route = *route_ptr;
-    out.submitted += route.accepted;
-    out.rejected_overload += route.rejected_overload;
-    out.rejected_full += route.rejected_full;
-    out.discarded += route.discarded_failover;
-    SessionStatsSnapshot s =
-        route.dead ? route.final_stats
-                   : shards_[route.shard]->server->session_stats(route.local);
-    if (!route.dead && !route.closed) ++out.sessions;
-    out.decoded += s.steps;
-    out.invalid_steps += s.invalid_steps;
-    out.quarantine_dropped += s.quarantine_dropped;
-    out.dropped += s.dropped;
-    out.discarded += s.discarded;
-    out.queued += route.dead ? 0 : s.queue_depth;
+    admission += route.admission;
+    SessionStatsSnapshot live;
+    if (!route.dead) {
+      live = shards_[route.shard]->server->session_stats(route.local);
+      out.queued += live.queue_depth;
+      if (!route.closed) ++out.sessions;
+    }
+    totals += route.totals(live);
   }
+  out.submitted = admission.accepted;
+  out.rejected_overload = admission.rejected_overload;
+  out.rejected_full = admission.rejected_full;
+  out.decoded = totals.steps;
+  out.invalid_steps = totals.invalid_steps;
+  out.quarantine_dropped = totals.quarantine_dropped;
+  out.dropped = totals.dropped;
+  out.discarded = totals.discarded;
   return out;
 }
 

@@ -40,6 +40,10 @@
 // shard's GainScheduleCache at exactly the snapshot iteration, so its
 // continued trajectory is bit-identical to an uninterrupted run
 // (tests/serve/cluster_test.cpp proves this under seeded shard kills).
+// Two limits of the sliding schedule window (docs/robustness.md, F1/F3):
+// a snapshot whose iteration lies below the target's window cannot be
+// restored, and a batched session a restored older peer slides out of the
+// window is ejected to solo and leaves bit-identity.
 //
 // Admission control: per-shard pending-bin watermarks with hysteresis.
 // Above high_watermark submit() returns an Overloaded Status (never
@@ -83,12 +87,6 @@ inline const char* to_string(ShardState s) {
   return "?";
 }
 
-// What admission control does with a bin for an over-watermark shard.
-enum class ShedPolicy {
-  kRejectNew,   // bounce it with an Overloaded Status (client retries)
-  kDropOldest,  // evict the submitting session's stalest queued bin
-};
-
 struct ClusterOptions {
   std::size_t shards = 4;
   // Virtual nodes per shard on the placement ring (evens out the keyspace).
@@ -102,7 +100,11 @@ struct ClusterOptions {
   // low_watermark.
   std::size_t high_watermark = 4096;
   std::size_t low_watermark = 1024;
-  ShedPolicy shed = ShedPolicy::kRejectNew;
+  // What a shedding shard does with a new bin: the session queue's own
+  // backpressure choice, at shard scope.  kReject bounces it with an
+  // Overloaded Status (the client retries); kDropOldest admits it and
+  // evicts the submitting session's stalest queued bin.
+  BackpressurePolicy shed = BackpressurePolicy::kReject;
 
   // tick() checkpoints a session once it has decoded this many bins past
   // its last snapshot (0: only explicit checkpoint()/checkpoint_all()).
@@ -194,7 +196,7 @@ class ShardedDecodeServer {
   SessionId open_session(SessionConfig config, Status* status = nullptr);
 
   // Enqueue one bin.  Never blocks: an over-watermark shard returns an
-  // Overloaded Status (kRejectNew) or evicts the session's stalest bin
+  // Overloaded Status (kReject) or evicts the session's stalest bin
   // (kDropOldest); a fenced/failing-over shard returns Unavailable.  Both
   // are Status::retryable() — see RetryingSubmitter.
   [[nodiscard]] Status submit(SessionId id, Vector<double> z);
@@ -266,6 +268,20 @@ class ShardedDecodeServer {
   struct Shard;
   struct Route;
 
+  // The cluster-side tallies of one route: what the client's submits did
+  // before any shard-local session saw them.
+  struct AdmissionCounters {
+    std::uint64_t accepted = 0;           // bins the cluster accepted
+    std::uint64_t rejected_overload = 0;  // admission bounces
+    std::uint64_t rejected_full = 0;      // session-queue-full bounces
+    AdmissionCounters& operator+=(const AdmissionCounters& o) {
+      accepted += o.accepted;
+      rejected_overload += o.rejected_overload;
+      rejected_full += o.rejected_full;
+      return *this;
+    }
+  };
+
   // submit() past the fence check, inside the shard's inflight guard:
   // admission control + the actual enqueue.
   [[nodiscard]] Status submit_admitted(SessionId id, Shard& shard,
@@ -288,7 +304,8 @@ class ShardedDecodeServer {
   // Move one route to `target` from its stored snapshot; `queued` (may be
   // null) is the stolen undecoded tail, resubmitted to the new incarnation
   // *before* the route is rewritten so a concurrent client submit cannot
-  // jump ahead of it.  Returns false if the restore was rejected.
+  // jump ahead of it.  A close_session deferred by the fence is applied
+  // to the new incarnation.  Returns false if the restore was rejected.
   // routes_mu_ must NOT be held.
   bool restore_route(SessionId id, Route& route, std::size_t target,
                      const char* reason, std::deque<Vector<double>>* queued);
@@ -312,24 +329,16 @@ class ShardedDecodeServer {
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;  // sorted points
   std::atomic<std::uint64_t> next_id_base_{1};  // per-incarnation id ranges
 
-  mutable std::mutex routes_mu_;  // guards routes_, next_session_, retired_
+  // Guards routes_, next_session_ and the retired totals below.
+  mutable std::mutex routes_mu_;
   std::unordered_map<SessionId, std::unique_ptr<Route>> routes_;
   SessionId next_session_ = 1;
   // Counters folded out of reaped routes: the conservation law
   // (decoded + ... == submitted) stays closed after the Route objects are
   // gone.  queued is always zero at reap time, so it has no slot here.
-  struct RetiredTotals {
-    std::uint64_t submitted = 0;
-    std::uint64_t rejected_overload = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t decoded = 0;
-    std::uint64_t invalid_steps = 0;
-    std::uint64_t quarantine_dropped = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t discarded = 0;
-    std::uint64_t routes = 0;  // how many sessions were reaped
-  };
-  RetiredTotals retired_;
+  AdmissionCounters retired_admission_;
+  SessionCounters retired_;
+  std::uint64_t routes_reaped_ = 0;
 
   // Serializes control-plane operations (tick, drain, failover, rebuild).
   mutable std::mutex admin_mu_;

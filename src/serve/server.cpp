@@ -587,20 +587,12 @@ ServerStats DecodeServer::stats() const {
       if (gslot.group && gslot.group->size() > 0) ++out.batch_groups;
     }
   }
+  SessionCounters totals;
   for (const auto& session : sessions) {
     SessionStatsSnapshot s = session->stats();
+    totals += s;
     if (s.batched) ++out.batched_sessions;
-    out.total_batched_steps += s.batched_steps;
-    out.total_steps += s.steps;
-    out.total_deadline_misses += s.deadline_misses;
-    out.total_rejected += s.rejected;
-    out.total_dropped += s.dropped;
-    out.total_discarded += s.discarded;
     out.queued += s.queue_depth;
-    out.total_invalid_steps += s.invalid_steps;
-    out.total_restarts += s.restarts;
-    out.total_degradations += s.degradations;
-    out.total_quarantine_dropped += s.quarantine_dropped;
     switch (s.state) {
       case SessionState::kDegraded: ++out.degraded_sessions; break;
       case SessionState::kQuarantined: ++out.quarantined_sessions; break;
@@ -609,6 +601,16 @@ ServerStats DecodeServer::stats() const {
     }
     out.per_session.push_back(std::move(s));
   }
+  out.total_steps = totals.steps;
+  out.total_batched_steps = totals.batched_steps;
+  out.total_deadline_misses = totals.deadline_misses;
+  out.total_invalid_steps = totals.invalid_steps;
+  out.total_restarts = totals.restarts;
+  out.total_degradations = totals.degradations;
+  out.total_quarantine_dropped = totals.quarantine_dropped;
+  out.total_rejected = totals.rejected;
+  out.total_dropped = totals.dropped;
+  out.total_discarded = totals.discarded;
   out.uptime_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start_)
                      .count();

@@ -158,7 +158,7 @@ class DecodeServer {
   // admission watermark refresh).
   std::size_t queued_now() const;
 
-  // Evict the oldest queued bin of `id` (ShedPolicy::kDropOldest).
+  // Evict the oldest queued bin of `id` (a kDropOldest shedding shard).
   bool shed_oldest(SessionId id);
 
   // Move the session's queued bins out for lossless drain-migration.

@@ -257,21 +257,18 @@ class Session {
 
   // Producer side: enqueue one measurement bin (any thread).
   PushResult enqueue(Vector<double> z) {
-    auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
     PushResult result = PushResult::kAccepted;
     if (queue_.size() >= config_.queue_capacity) {
       if (config_.backpressure == BackpressurePolicy::kReject) {
-        ++rejected_;
-        tm.rejected.add();
+        count_locked(&SessionCounters::rejected, tm_.rejected);
         return PushResult::kRejectedFull;
       }
       queue_.pop_front();
-      ++dropped_;
-      tm.dropped.add();
+      count_locked(&SessionCounters::dropped, tm_.dropped);
       result = PushResult::kDroppedOldest;
     } else {
-      tm.queued_bins.add(1.0);  // kDropOldest swaps a bin: depth unchanged
+      tm_.queued_bins.add(1.0);  // kDropOldest swaps a bin: depth unchanged
     }
     queue_.push_back(std::move(z));
     max_backlog_ = std::max(max_backlog_, queue_.size());
@@ -281,11 +278,10 @@ class Session {
   // Consumer side: dequeue up to max_batch bins and step the filter over
   // them, timing each step against the session deadline.  Exactly one
   // thread at a time (see the concurrency contract above).  Returns the
-  // number of steps executed; latencies are also pushed to `recorder` if
+  // number of bins consumed; latencies are also pushed to `recorder` if
   // given.
   std::size_t step_pending(std::size_t max_batch,
                            LatencyRecorder* recorder = nullptr) {
-    auto& tm = detail::ServeTelemetry::get();
     telemetry::SpanTracer& tracer = telemetry::SpanTracer::global();
     // batch_ is reused across calls (only the step_pending caller touches
     // it — same single-consumer contract as filter_), so draining the queue
@@ -300,39 +296,15 @@ class Session {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      if (n > 0) tm.queued_bins.add(-double(n));
+      if (n > 0) tm_.queued_bins.add(-double(n));
     }
     if (!batch.empty() && tracer.enabled()) {
-      tracer.counter("serve.queued_bins", tm.queued_bins.value());
+      tracer.counter("serve.queued_bins", tm_.queued_bins.value());
     }
     for (auto& z : batch) {
-      // Self-healing gate: quarantined/failed sessions consume bins without
-      // decoding them, so the queue keeps draining and the scheduler never
-      // spins on a broken stream.  When the quarantine backoff runs out the
-      // session restarts (fresh filter from x0/P0) and decodes this bin.
       {
         std::lock_guard<std::mutex> lock(mu_);
-        if (state_ == SessionState::kFailed) {
-          ++quarantine_dropped_;
-          tm.quarantine_dropped.add();
-          continue;
-        }
-        if (state_ == SessionState::kQuarantined) {
-          if (backoff_remaining_ > 0) {
-            --backoff_remaining_;
-            ++quarantine_dropped_;
-            tm.quarantine_dropped.add();
-            continue;
-          }
-          state_ = SessionState::kHealthy;
-          ++restarts_;
-          tm.restarts.add();
-          if (telemetry::enabled()) {
-            auto& blackbox = telemetry::FlightRecorder::global();
-            blackbox.record(telemetry::FlightEventKind::kRestart, id_, steps_,
-                            restarts_);
-          }
-        }
+        if (!admit_bin_locked()) continue;
       }
 
       const auto t0 = std::chrono::steady_clock::now();
@@ -344,76 +316,17 @@ class Session {
         return guarded_step(z, &x);
       }();
       const auto t1 = std::chrono::steady_clock::now();
-      double seconds = std::chrono::duration<double>(t1 - t0).count();
-#if defined(KALMMIND_FAULTS)
-      {
-        // Fault-injection hook: deterministic deadline outcomes for the
-        // degradation tests (see fault_override_step_seconds).
-        std::lock_guard<std::mutex> lock(mu_);
-        if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
-      }
-#endif
+      const double seconds = std::chrono::duration<double>(t1 - t0).count();
 
       if (!step_status.ok()) {
-        // The diverged decode is *not* recorded: no latency sample, no
-        // trajectory entry, no steps_ increment — so one blown-up stream
-        // cannot pollute the server's latency percentiles.
-        tm.invalid_steps.add();
-        if (telemetry::enabled()) {
-          auto& blackbox = telemetry::FlightRecorder::global();
-          blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
-                          steps_done(), 0, 0.0, step_status.message());
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        ++invalid_steps_;
-        if (config_.self_healing.enabled) enter_quarantine_locked();
+        record_invalid(step_status.message());
         continue;
       }
-
-      if (recorder) recorder->record(seconds);
-      tm.steps.add();
       if (tracer.enabled()) {
         tracer.complete("serve.step", "serve", tracer.to_us(t0), seconds * 1e6,
                         "\"session\":" + std::to_string(id_));
       }
-
-      core::IterationTiming timing;
-      timing.kf_iteration = steps_done();
-      timing.cycles = 0;  // wall-clock path: no cycle model attached
-      timing.seconds = seconds;
-      timing.meets_deadline = seconds <= config_.deadline_s;
-
-      if (!timing.meets_deadline) tm.deadline_misses.add();
-
-      std::lock_guard<std::mutex> lock(mu_);
-      ++steps_;
-      // Checkpoint mirror: the durable (iteration, x) of this stream, kept
-      // under mu_ so checkpoint() can run from any thread without touching
-      // the consumer-only filter (cheap: x_dim doubles at paper dims).
-      ckpt_x_ = *x;
-      ++ckpt_iteration_;
-      // Sampled under the lock so stats() never reads filter_ while a
-      // worker is stepping it (steady state: constant after the first step).
-      workspace_bytes_ = filter_.workspace_bytes();
-      sum_step_s_ += seconds;
-      worst_step_s_ = std::max(worst_step_s_, seconds);
-      sample_latency_locked(seconds);
-      if (!timing.meets_deadline) {
-        ++deadline_misses_;
-        if (telemetry::enabled()) {
-          auto& blackbox = telemetry::FlightRecorder::global();
-          blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_,
-                          steps_, deadline_misses_, seconds);
-        }
-      }
-      if (config_.record_trajectory) {
-        states_.push_back(*x);
-        timings_.push_back(timing);
-      }
-      if (config_.self_healing.enabled &&
-          config_.self_healing.degrade_after_misses > 0) {
-        track_deadline_locked(timing.meets_deadline, tm);
-      }
+      record_step(*x, seconds, /*batched=*/false, recorder);
     }
     return batch.size();
   }
@@ -454,24 +367,15 @@ class Session {
   SessionStatsSnapshot stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     SessionStatsSnapshot s;
+    s.counters() = counters_;
     s.id = id_;
-    s.steps = steps_;
     s.queue_depth = queue_.size();
     s.max_backlog = max_backlog_;
-    s.deadline_misses = deadline_misses_;
-    s.rejected = rejected_;
-    s.dropped = dropped_;
-    s.discarded = discarded_;
-    s.worst_step_s = worst_step_s_;
-    s.mean_step_s = steps_ ? sum_step_s_ / double(steps_) : 0.0;
+    s.mean_step_s =
+        counters_.steps ? counters_.sum_step_s / double(counters_.steps) : 0.0;
     s.workspace_bytes = workspace_bytes_;
     s.state = state_;
-    s.invalid_steps = invalid_steps_;
-    s.restarts = restarts_;
-    s.degradations = degradations_;
-    s.quarantine_dropped = quarantine_dropped_;
     s.batched = batched_;
-    s.batched_steps = batched_steps_;
     if (!latency_samples_.empty()) {
       std::vector<double> sorted = latency_samples_;
       std::sort(sorted.begin(), sorted.end());
@@ -505,39 +409,17 @@ class Session {
     return batched_;
   }
 
-  // Pop one bin through the self-healing gate — the same
-  // quarantined/failed semantics as the solo drain loop: a gated bin is
-  // consumed and dropped; a quarantine whose backoff just drained restarts
-  // the stream (from x0, schedule iteration 0) and decodes this bin.
+  // Pop one bin through the self-healing gate the solo drain loop uses: a
+  // gated bin is consumed and dropped; a quarantine whose backoff just
+  // drained restarts the stream (from x0, schedule iteration 0) and
+  // decodes this bin.
   BatchPop batch_pop(Vector<double>* z) {
-    auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return BatchPop::kEmpty;
     *z = std::move(queue_.front());
     queue_.pop_front();
-    tm.queued_bins.add(-1.0);
-    if (state_ == SessionState::kFailed) {
-      ++quarantine_dropped_;
-      tm.quarantine_dropped.add();
-      return BatchPop::kDropped;
-    }
-    if (state_ == SessionState::kQuarantined) {
-      if (backoff_remaining_ > 0) {
-        --backoff_remaining_;
-        ++quarantine_dropped_;
-        tm.quarantine_dropped.add();
-        return BatchPop::kDropped;
-      }
-      state_ = SessionState::kHealthy;
-      ++restarts_;
-      tm.restarts.add();
-      if (telemetry::enabled()) {
-        auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kRestart, id_, steps_,
-                        restarts_);
-      }
-    }
-    return BatchPop::kDecode;
+    tm_.queued_bins.add(-1.0);
+    return admit_bin_locked() ? BatchPop::kDecode : BatchPop::kDropped;
   }
 
   // Put a popped-but-undecoded bin back at the queue head (window-miss
@@ -545,7 +427,7 @@ class Session {
   void requeue_front(Vector<double> z) {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_front(std::move(z));
-    detail::ServeTelemetry::get().queued_bins.add(1.0);
+    tm_.queued_bins.add(1.0);
   }
 
   // Schedule iteration the next decode runs at (consumer thread only).
@@ -553,16 +435,14 @@ class Session {
   // Current state estimate in batched mode (consumer thread only).
   const Vector<double>& batch_state() const { return batch_x_; }
 
-  // Record the result of one batched decode: the same Status guard,
-  // latency/trajectory/deadline bookkeeping and self-healing transitions
-  // as the solo loop.  `seconds` is this session's share of the fused
-  // cohort pass (cohort wall time / cohort size).  Returns kEject when the
-  // deadline ladder degraded the session — it now runs solo on the cheap
-  // constant-gain strategy and must leave the group.
+  // Record the result of one batched decode through the solo loop's
+  // invalid-step and recorded-step paths.  `seconds` is this session's
+  // share of the fused cohort pass (cohort wall time / cohort size).
+  // Returns kEject when the deadline ladder degraded the session — it now
+  // runs solo on the cheap constant-gain strategy and must leave the group.
   BatchVerdict note_batch_result(
       std::shared_ptr<const kalman::GainSchedule::Entry> entry,
       const double* x_new, double seconds, LatencyRecorder* recorder) {
-    auto& tm = detail::ServeTelemetry::get();
     // Mirror the filter state mutation exactly: the decoded state becomes
     // the batch estimate even when non-finite (a solo filter's state is
     // poisoned the same way), so a healing-disabled stream stays invalid
@@ -572,74 +452,13 @@ class Session {
     ++batch_iteration_;
     last_entry_ = std::move(entry);
 
-#if defined(KALMMIND_FAULTS)
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
-    }
-#endif
-
-    bool finite = true;
     for (std::size_t i = 0; i < x_dim; ++i) {
       if (!std::isfinite(batch_x_[i])) {
-        finite = false;
-        break;
+        record_invalid("non-finite batch state");
+        return BatchVerdict::kOk;  // quarantine is handled by the pop gate
       }
     }
-    if (!finite) {
-      // Not recorded: no latency sample, no trajectory entry, no steps_
-      // increment — identical to the solo invalid-step path.
-      tm.invalid_steps.add();
-      if (telemetry::enabled()) {
-        auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
-                        steps_done(), 0, 0.0, "non-finite batch state");
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++invalid_steps_;
-      if (config_.self_healing.enabled) enter_quarantine_locked();
-      return BatchVerdict::kOk;  // quarantine is handled by the pop gate
-    }
-
-    if (recorder) recorder->record(seconds);
-    tm.steps.add();
-    tm.batched_steps.add();
-
-    core::IterationTiming timing;
-    timing.cycles = 0;
-    timing.seconds = seconds;
-    timing.meets_deadline = seconds <= config_.deadline_s;
-    if (!timing.meets_deadline) tm.deadline_misses.add();
-
-    std::lock_guard<std::mutex> lock(mu_);
-    timing.kf_iteration = steps_;
-    ++steps_;
-    ++batched_steps_;
-    // Checkpoint mirror (see step_pending): batch_x_/batch_iteration_ are
-    // consumer-only, so checkpoint() reads these mu_-guarded copies.
-    ckpt_x_ = batch_x_;
-    ckpt_iteration_ = batch_iteration_;
-    sum_step_s_ += seconds;
-    worst_step_s_ = std::max(worst_step_s_, seconds);
-    sample_latency_locked(seconds);
-    if (!timing.meets_deadline) {
-      ++deadline_misses_;
-      if (telemetry::enabled()) {
-        auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_, steps_,
-                        deadline_misses_, seconds);
-      }
-    }
-    if (config_.record_trajectory) {
-      states_.push_back(batch_x_);
-      timings_.push_back(timing);
-    }
-    if (config_.self_healing.enabled &&
-        config_.self_healing.degrade_after_misses > 0) {
-      track_deadline_locked(timing.meets_deadline, tm);
-      if (!batched_) return BatchVerdict::kEject;  // ladder degraded us
-    }
-    return BatchVerdict::kOk;
+    return record_step(batch_x_, seconds, /*batched=*/true, recorder);
   }
 
   // Leave the group (schedule window miss, or the group dissolving):
@@ -682,18 +501,7 @@ class Session {
     for (std::size_t i = 0; i < ckpt_x_.size(); ++i) out->x[i] = ckpt_x_[i];
     out->health_rung = std::uint8_t(state_);
     out->backoff_remaining = backoff_remaining_;
-    out->steps = steps_;
-    out->batched_steps = batched_steps_;
-    out->deadline_misses = deadline_misses_;
-    out->invalid_steps = invalid_steps_;
-    out->restarts = restarts_;
-    out->degradations = degradations_;
-    out->quarantine_dropped = quarantine_dropped_;
-    out->rejected = rejected_;
-    out->dropped = dropped_;
-    out->discarded = discarded_;
-    out->sum_step_s = sum_step_s_;
-    out->worst_step_s = worst_step_s_;
+    out->counters() = counters_;
     out->recorded_states = states_.size();
     return Status::Ok();
   }
@@ -709,7 +517,6 @@ class Session {
                      std::shared_ptr<const kalman::GainSchedule::Entry> entry) {
     std::lock_guard<std::mutex> lock(mu_);
     restored_ = true;
-    restore_iteration_ = snap.iteration;
     ckpt_iteration_ = snap.iteration;
     for (std::size_t i = 0; i < ckpt_x_.size(); ++i) ckpt_x_[i] = snap.x[i];
     // Pre-consumption writes to the consumer-only batch state are safe: no
@@ -719,69 +526,39 @@ class Session {
     last_entry_ = std::move(entry);
     state_ = SessionState(snap.health_rung);
     backoff_remaining_ = snap.backoff_remaining;
-    steps_ = snap.steps;
-    batched_steps_ = snap.batched_steps;
-    deadline_misses_ = snap.deadline_misses;
-    invalid_steps_ = snap.invalid_steps;
-    restarts_ = snap.restarts;
-    degradations_ = snap.degradations;
-    quarantine_dropped_ = snap.quarantine_dropped;
-    rejected_ = snap.rejected;
-    dropped_ = snap.dropped;
-    discarded_ = snap.discarded;
-    sum_step_s_ = snap.sum_step_s;
-    worst_step_s_ = snap.worst_step_s;
+    counters_ = snap.counters();
   }
 
-  // Schedule iteration this session decodes from (0 unless restored).
-  std::size_t restore_iteration() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return restore_iteration_;
-  }
-
-  // Bins this session has fully consumed (decoded, diverged, or dropped
-  // while quarantined).  consumed() + queue_depth() + discarded == bins the
-  // session ever accepted.
-  std::size_t consumed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return steps_ + invalid_steps_ + quarantine_dropped_;
-  }
-
-  // Drop every queued-but-undecoded bin, counting them as discarded (the
-  // close/teardown accounting satellite: nothing vanishes silently).
+  // Drop every queued-but-undecoded bin, counting them as discarded
+  // (close/teardown accounting: nothing vanishes silently).
   std::size_t discard_queue() {
-    auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
     const std::size_t n = queue_.size();
     if (n == 0) return 0;
     queue_.clear();
-    discarded_ += n;
-    tm.discarded.add(n);
-    tm.queued_bins.add(-double(n));
+    count_locked(&SessionCounters::discarded, tm_.discarded, n);
+    tm_.queued_bins.add(-double(n));
     return n;
   }
 
   // Move the queued bins out (lossless drain-migration: the cluster
   // resubmits them to the session's new incarnation, in order).
   std::deque<Vector<double>> steal_queue() {
-    auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
     std::deque<Vector<double>> out = std::move(queue_);
     queue_.clear();
-    if (!out.empty()) tm.queued_bins.add(-double(out.size()));
+    if (!out.empty()) tm_.queued_bins.add(-double(out.size()));
     return out;
   }
 
-  // Evict the oldest queued bin (ShedPolicy::kDropOldest under admission
+  // Evict the oldest queued bin (a kDropOldest cluster under admission
   // pressure).  Counted like a kDropOldest backpressure eviction.
   bool shed_oldest() {
-    auto& tm = detail::ServeTelemetry::get();
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
     queue_.pop_front();
-    ++dropped_;
-    tm.dropped.add();
-    tm.queued_bins.add(-1.0);
+    count_locked(&SessionCounters::dropped, tm_.dropped);
+    tm_.queued_bins.add(-1.0);
     return true;
   }
 
@@ -798,7 +575,114 @@ class Session {
  private:
   std::size_t steps_done() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return steps_;
+    return counters_.steps;
+  }
+
+  // One counted event (mu_ held): the block field and its registry counter
+  // move together.
+  void count_locked(std::uint64_t SessionCounters::*field,
+                    telemetry::Counter& metric, std::uint64_t n = 1) {
+    counters_.*field += n;
+    metric.add(n);
+  }
+
+  // The self-healing gate of both modes (mu_ held): false when the bin is
+  // consumed without decoding.  Quarantined/failed sessions keep draining
+  // their queue, so the scheduler never spins on a broken stream; when the
+  // quarantine backoff runs out the session restarts and decodes this bin.
+  bool admit_bin_locked() {
+    if (state_ == SessionState::kFailed) {
+      count_locked(&SessionCounters::quarantine_dropped,
+                   tm_.quarantine_dropped);
+      return false;
+    }
+    if (state_ != SessionState::kQuarantined) return true;
+    if (backoff_remaining_ > 0) {
+      --backoff_remaining_;
+      count_locked(&SessionCounters::quarantine_dropped,
+                   tm_.quarantine_dropped);
+      return false;
+    }
+    state_ = SessionState::kHealthy;
+    count_locked(&SessionCounters::restarts, tm_.restarts);
+    if (telemetry::enabled()) {
+      auto& blackbox = telemetry::FlightRecorder::global();
+      blackbox.record(telemetry::FlightEventKind::kRestart, id_,
+                      counters_.steps, counters_.restarts);
+    }
+    return true;
+  }
+
+  // The invalid-step path of both modes.  The diverged decode is *not*
+  // recorded: no latency sample, no trajectory entry, no steps increment —
+  // so one blown-up stream cannot pollute the server's latency percentiles.
+  void record_invalid(const char* reason) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (telemetry::enabled()) {
+      auto& blackbox = telemetry::FlightRecorder::global();
+      blackbox.record(telemetry::FlightEventKind::kInvalidStep, id_,
+                      counters_.steps, 0, 0.0, reason);
+    }
+    count_locked(&SessionCounters::invalid_steps, tm_.invalid_steps);
+    if (config_.self_healing.enabled) enter_quarantine_locked();
+  }
+
+  // The recorded-step path of both modes: latency sample, counters,
+  // checkpoint mirror, trajectory and the deadline ladder.  `x` is the
+  // decoded state (consumer thread).  Returns kEject when the ladder just
+  // degraded a batched session.
+  BatchVerdict record_step(const Vector<double>& x, double seconds,
+                           bool batched, LatencyRecorder* recorder) {
+#if defined(KALMMIND_FAULTS)
+    {
+      // Fault-injection hook: deterministic deadline outcomes for the
+      // degradation tests (see fault_override_step_seconds).
+      std::lock_guard<std::mutex> lock(mu_);
+      if (fault_step_seconds_ >= 0.0) seconds = fault_step_seconds_;
+    }
+#endif
+    if (recorder) recorder->record(seconds);
+    std::lock_guard<std::mutex> lock(mu_);
+    core::IterationTiming timing;
+    timing.kf_iteration = counters_.steps;
+    timing.cycles = 0;  // wall-clock path: no cycle model attached
+    timing.seconds = seconds;
+    timing.meets_deadline = seconds <= config_.deadline_s;
+
+    count_locked(&SessionCounters::steps, tm_.steps);
+    if (batched) {
+      count_locked(&SessionCounters::batched_steps, tm_.batched_steps);
+    } else {
+      // Sampled under the lock so stats() never reads filter_ while a
+      // worker is stepping it (steady state: constant after the first step).
+      workspace_bytes_ = filter_.workspace_bytes();
+    }
+    // Checkpoint mirror: the durable (iteration, x) of this stream, kept
+    // under mu_ so checkpoint() can run from any thread without touching
+    // the consumer-only filter/batch state (cheap: x_dim doubles).
+    ckpt_x_ = x;
+    ckpt_iteration_ = batched ? batch_iteration_ : ckpt_iteration_ + 1;
+    counters_.sum_step_s += seconds;
+    counters_.worst_step_s = std::max(counters_.worst_step_s, seconds);
+    sample_latency_locked(seconds);
+    if (!timing.meets_deadline) {
+      count_locked(&SessionCounters::deadline_misses, tm_.deadline_misses);
+      if (telemetry::enabled()) {
+        auto& blackbox = telemetry::FlightRecorder::global();
+        blackbox.record(telemetry::FlightEventKind::kDeadlineMiss, id_,
+                        counters_.steps, counters_.deadline_misses, seconds);
+      }
+    }
+    if (config_.record_trajectory) {
+      states_.push_back(x);
+      timings_.push_back(timing);
+    }
+    if (config_.self_healing.enabled &&
+        config_.self_healing.degrade_after_misses > 0) {
+      track_deadline_locked(timing.meets_deadline);
+      if (batched && !batched_) return BatchVerdict::kEject;
+    }
+    return BatchVerdict::kOk;
   }
 
   // Status-returning decode guard: step the filter and validate the result
@@ -829,28 +713,30 @@ class Session {
   // batched session restarts its batch estimate instead (x0, schedule
   // iteration 0) and stays in its group.
   void enter_quarantine_locked() {
-    if (restarts_ >= config_.self_healing.max_restarts) {
+    if (counters_.restarts >= config_.self_healing.max_restarts) {
       state_ = SessionState::kFailed;
       if (telemetry::enabled()) {
         // A dead stream is exactly what the black box exists for: journal
         // the transition, then dump the session's last-N events as JSONL
         // (+ trace instants) while they are still resident.
         auto& blackbox = telemetry::FlightRecorder::global();
-        blackbox.record(telemetry::FlightEventKind::kFailed, id_, steps_,
-                        restarts_);
+        blackbox.record(telemetry::FlightEventKind::kFailed, id_,
+                        counters_.steps, counters_.restarts);
         blackbox.postmortem(id_, "failed");
       }
       return;
     }
     state_ = SessionState::kQuarantined;
-    const std::size_t shift = std::min<std::size_t>(restarts_, 16);
+    const std::size_t shift =
+        std::size_t(std::min<std::uint64_t>(counters_.restarts, 16));
     backoff_remaining_ =
         std::min(config_.self_healing.backoff_initial_bins << shift,
                  config_.self_healing.backoff_max_bins);
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kQuarantine, id_, steps_,
-                      backoff_remaining_, double(restarts_));
+      blackbox.record(telemetry::FlightEventKind::kQuarantine, id_,
+                      counters_.steps, backoff_remaining_,
+                      double(counters_.restarts));
       blackbox.postmortem(id_, "quarantine");
     }
     consecutive_misses_ = 0;
@@ -865,15 +751,13 @@ class Session {
       last_entry_.reset();
       return;
     }
-    if (state_was_degraded()) {
+    if (degraded_) {
       rebuild_filter_locked(config_.filter.strategy,
                             config_.filter.strategy_data);
       degraded_ = false;
     }
     filter_.reset();
   }
-
-  bool state_was_degraded() const { return degraded_; }
 
   // Bounded per-session latency sample (mu_ held) feeding the p50/p95/p99
   // SLO fields of SessionStatsSnapshot — same LCG replacement scheme as
@@ -892,14 +776,14 @@ class Session {
   // Deadline-pressure ladder (mu_ held): consecutive misses degrade to the
   // constant steady-state gain, consecutive hits restore the original
   // strategy.  The estimate x/P carries across both swaps via set_state.
-  void track_deadline_locked(bool met_deadline, detail::ServeTelemetry& tm) {
+  void track_deadline_locked(bool met_deadline) {
     if (!met_deadline) {
       consecutive_hits_ = 0;
       if (++consecutive_misses_ >=
               config_.self_healing.degrade_after_misses &&
           !degraded_ && !degrade_unavailable_) {
         consecutive_misses_ = 0;
-        if (degrade_locked()) tm.degradations.add();
+        degrade_locked();
       }
       return;
     }
@@ -911,7 +795,7 @@ class Session {
     }
   }
 
-  bool degrade_locked() {
+  void degrade_locked() {
     if (degraded_inverse_.empty()) {
       // One Riccati solve per session, cached for later degradations.  A
       // model whose recursion does not converge simply cannot degrade.
@@ -920,7 +804,7 @@ class Session {
             kalman::solve_steady_state(config_.filter.model).s_inv;
       } catch (const std::exception&) {
         degrade_unavailable_ = true;
-        return false;
+        return;
       }
     }
     kalman::StrategySpec spec;
@@ -932,13 +816,12 @@ class Session {
     replayable_ = false;  // the sskf trajectory is off the shared schedule
     degraded_ = true;
     state_ = SessionState::kDegraded;
-    ++degradations_;
+    count_locked(&SessionCounters::degradations, tm_.degradations);
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kDegraded, id_, steps_,
-                      degradations_);
+      blackbox.record(telemetry::FlightEventKind::kDegraded, id_,
+                      counters_.steps, counters_.degradations);
     }
-    return true;
   }
 
   void restore_locked() {
@@ -948,8 +831,8 @@ class Session {
     state_ = SessionState::kHealthy;
     if (telemetry::enabled()) {
       auto& blackbox = telemetry::FlightRecorder::global();
-      blackbox.record(telemetry::FlightEventKind::kRestored, id_, steps_,
-                      config_.self_healing.recover_after_hits);
+      blackbox.record(telemetry::FlightEventKind::kRestored, id_,
+                      counters_.steps, config_.self_healing.recover_after_hits);
     }
   }
 
@@ -978,6 +861,7 @@ class Session {
 
   const SessionId id_;
   const SessionConfig config_;
+  detail::ServeTelemetry& tm_ = detail::ServeTelemetry::get();
   kalman::KalmanFilter<double> filter_;  // stepped by the scheduled worker
   std::vector<Vector<double>> batch_;    // step_pending drain buffer (single
                                          // consumer, reused across calls)
@@ -1001,30 +885,18 @@ class Session {
   bool replayable_;          // gains still on the shared schedule trajectory
   const std::uint64_t fingerprint_;  // config_.filter.fingerprint()
   bool restored_ = false;            // seeded from a snapshot
-  std::size_t restore_iteration_ = 0;
-  std::size_t discarded_ = 0;        // queued bins dropped at close/teardown
   std::deque<Vector<double>> queue_;
   std::vector<Vector<double>> states_;
   std::vector<core::IterationTiming> timings_;
-  std::size_t steps_ = 0;
-  std::size_t batched_steps_ = 0;  // subset of steps_ decoded in a group
+  SessionCounters counters_;       // every lifetime counter of this stream
   bool batched_ = false;           // currently owned by a BatchGroup
   std::size_t max_backlog_ = 0;
-  std::size_t deadline_misses_ = 0;
-  std::size_t rejected_ = 0;
-  std::size_t dropped_ = 0;
-  double worst_step_s_ = 0.0;
-  double sum_step_s_ = 0.0;
   static constexpr std::size_t kLatencySampleCap = 512;
   std::vector<double> latency_samples_;  // bounded sample for SLO rollups
   std::uint64_t latency_lcg_ = 0x9e3779b97f4a7c15ull;
   // Self-healing state machine (docs/robustness.md), all under mu_.
   SessionState state_ = SessionState::kHealthy;
   std::size_t backoff_remaining_ = 0;   // bins left to drop in quarantine
-  std::size_t restarts_ = 0;
-  std::size_t degradations_ = 0;
-  std::size_t invalid_steps_ = 0;
-  std::size_t quarantine_dropped_ = 0;
   std::size_t consecutive_misses_ = 0;
   std::size_t consecutive_hits_ = 0;
   bool degraded_ = false;

@@ -52,10 +52,11 @@ inline constexpr std::size_t kSnapshotMaxStateDim = 1u << 20;
 
 // The durable state of one session.  `iteration` is the gain-schedule
 // iteration the *next* decode runs at; `x` is the estimate after decode
-// iteration-1 (x0 when iteration == 0).  Counters are lifetime carryovers:
-// a restored session resumes them so cluster accounting stays closed
-// across migrations (decoded + discarded + rejected == submitted).
-struct SessionSnapshot {
+// iteration-1 (x0 when iteration == 0).  The counter block (the base) is a
+// lifetime carryover: a restored session resumes it so cluster accounting
+// stays closed across migrations (decoded + discarded + rejected ==
+// submitted).
+struct SessionSnapshot : SessionCounters {
   std::uint64_t config_fingerprint = 0;
   std::uint64_t iteration = 0;
   std::vector<double> x;
@@ -63,20 +64,6 @@ struct SessionSnapshot {
   // Health rung (SessionState) + quarantine backoff at capture time.
   std::uint8_t health_rung = 0;
   std::uint64_t backoff_remaining = 0;
-
-  // Stat carryovers.
-  std::uint64_t steps = 0;
-  std::uint64_t batched_steps = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t invalid_steps = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t degradations = 0;
-  std::uint64_t quarantine_dropped = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t discarded = 0;
-  double sum_step_s = 0.0;
-  double worst_step_s = 0.0;
 
   // Trajectory entries recorded at capture time — the owner (cluster) uses
   // this to copy a consistent prefix for post-failover concatenation.

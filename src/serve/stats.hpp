@@ -113,28 +113,67 @@ class LatencyRecorder {
   telemetry::Histogram& histogram_;
 };
 
-// Point-in-time view of one session.
-struct SessionStatsSnapshot {
+// The lifetime counters of one session (docs/serving.md "Counter block and
+// conservation law").  A Session keeps exactly one block; snapshots,
+// stats and the cluster's totals copy or add whole blocks, so each number
+// has one definition.  Field order is the snapshot wire order
+// (serve/snapshot.hpp).
+struct SessionCounters {
+  std::uint64_t steps = 0;              // measurements decoded (recorded)
+  std::uint64_t batched_steps = 0;      // subset of steps decoded batched
+  std::uint64_t deadline_misses = 0;    // steps slower than the deadline
+  std::uint64_t invalid_steps = 0;      // diverged decodes caught by the guard
+  std::uint64_t restarts = 0;           // quarantine restarts performed
+  std::uint64_t degradations = 0;       // strategy downgrades performed
+  std::uint64_t quarantine_dropped = 0; // bins consumed while not decoding
+  std::uint64_t rejected = 0;           // submits bounced by kReject
+  std::uint64_t dropped = 0;            // bins evicted by kDropOldest
+  std::uint64_t discarded = 0;          // queued bins dropped at close/teardown
+  double sum_step_s = 0.0;              // summed recorded step seconds
+  double worst_step_s = 0.0;            // slowest recorded step
+
+  // Bins taken off the queue: decoded, diverged, or dropped by the
+  // self-healing gate.
+  std::uint64_t consumed() const {
+    return steps + invalid_steps + quarantine_dropped;
+  }
+  // Accepted bins no longer queued.  The conservation law:
+  // accepted == accounted() + queued.
+  std::uint64_t accounted() const { return consumed() + dropped + discarded; }
+
+  SessionCounters& operator+=(const SessionCounters& o) {
+    steps += o.steps;
+    batched_steps += o.batched_steps;
+    deadline_misses += o.deadline_misses;
+    invalid_steps += o.invalid_steps;
+    restarts += o.restarts;
+    degradations += o.degradations;
+    quarantine_dropped += o.quarantine_dropped;
+    rejected += o.rejected;
+    dropped += o.dropped;
+    discarded += o.discarded;
+    sum_step_s += o.sum_step_s;
+    worst_step_s = std::max(worst_step_s, o.worst_step_s);
+    return *this;
+  }
+  bool operator==(const SessionCounters&) const = default;
+
+  // The block inside a struct that carries it as a base.
+  SessionCounters& counters() { return *this; }
+  const SessionCounters& counters() const { return *this; }
+};
+
+// Point-in-time view of one session: its counter block plus live state.
+struct SessionStatsSnapshot : SessionCounters {
   SessionId id = 0;
-  std::size_t steps = 0;            // measurements decoded so far
   std::size_t queue_depth = 0;      // bins waiting right now
   std::size_t max_backlog = 0;      // worst queue depth observed
-  std::size_t deadline_misses = 0;  // steps slower than the session deadline
-  std::size_t rejected = 0;         // submits bounced by kReject backpressure
-  std::size_t dropped = 0;          // bins evicted by kDropOldest
-  std::size_t discarded = 0;        // queued bins dropped at close/teardown
-  double worst_step_s = 0.0;
-  double mean_step_s = 0.0;
+  double mean_step_s = 0.0;         // sum_step_s / steps
   std::size_t workspace_bytes = 0;  // filter step-workspace heap bytes
   // Self-healing (docs/robustness.md).
   SessionState state = SessionState::kHealthy;
-  std::size_t invalid_steps = 0;       // diverged decodes caught by the guard
-  std::size_t restarts = 0;            // quarantine restarts performed
-  std::size_t degradations = 0;        // strategy downgrades performed
-  std::size_t quarantine_dropped = 0;  // bins consumed while not decoding
   // Batched serving (docs/serving.md).
   bool batched = false;                // currently decoding in a BatchGroup
-  std::size_t batched_steps = 0;       // subset of steps decoded batched
   // SLO rollup (docs/observability.md): step-latency percentiles over a
   // bounded per-session sample, computed with telemetry::percentile.
   double p50_step_s = 0.0;

@@ -170,7 +170,7 @@ TEST(ServeClusterTest, DropOldestShedPolicyEvictsInsteadOfRejecting) {
   opts.shards = 1;
   opts.high_watermark = 6;
   opts.low_watermark = 2;
-  opts.shed = ShedPolicy::kDropOldest;
+  opts.shed = BackpressurePolicy::kDropOldest;
   ShardedDecodeServer cluster(opts);
   const SessionId id = cluster.open_session(cfg);
   const auto zs = testing::simulate_measurements(model, 20, 11);

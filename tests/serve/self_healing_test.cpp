@@ -136,6 +136,83 @@ TEST(ServeSelfHealingTest, DivergedSessionIsQuarantinedThenRestarted) {
   EXPECT_NE(stats.to_string().find("health"), std::string::npos);
 }
 
+// The solo drain loop and the batched pop/record pair share one gate, one
+// invalid-step path and one recorded-step path: one stream through both
+// must leave the same counter block and the same trajectory.
+TEST(ServeSelfHealingTest, SoloAndBatchedPathsCountAndDecodeAlike) {
+  const auto model = testing::small_model(4);
+  SessionConfig batched = healing_config(model);
+  batched.queue_capacity = 6;
+  batched.deadline_s = 10.0;  // no timing-dependent deadline misses
+  SessionConfig solo = batched;
+  solo.allow_batching = false;
+  const auto zs = testing::simulate_measurements(model, 15);
+
+  DecodeServer server({ServerOptions::kManual, 8});
+  const SessionId b = server.open_session(batched);
+  const SessionId s = server.open_session(solo);
+  ASSERT_TRUE(server.session_stats(b).batched);
+  ASSERT_FALSE(server.session_stats(s).batched);
+
+  auto submit_both = [&](const Vector<double>& z) {
+    const PushResult r = server.submit(b, z);
+    EXPECT_EQ(server.submit(s, z), r);
+    return r;
+  };
+  // clean | NaN (quarantine, backoff 1) | dropped | restart + decode |
+  // clean, clean: the queue is full, so the next two bins bounce.
+  for (const Vector<double>& z :
+       {zs[0], nan_bin(4), zs[1], zs[2], zs[3], zs[4]})
+    EXPECT_EQ(submit_both(z), PushResult::kAccepted);
+  EXPECT_EQ(submit_both(zs[5]), PushResult::kRejectedFull);
+  EXPECT_EQ(submit_both(zs[6]), PushResult::kRejectedFull);
+  server.drain();
+  // clean | NaN (second quarantine, backoff 2) | dropped, dropped |
+  // restart + decode | clean.
+  for (const Vector<double>& z :
+       {zs[7], nan_bin(4), zs[8], zs[9], zs[10], zs[11]})
+    EXPECT_EQ(submit_both(z), PushResult::kAccepted);
+  server.drain();
+  // Three queued bins dropped by a discarding close.
+  for (std::size_t n = 12; n < 15; ++n)
+    EXPECT_EQ(submit_both(zs[n]), PushResult::kAccepted);
+  ASSERT_TRUE(server.close_session(b, CloseMode::kDiscard));
+  ASSERT_TRUE(server.close_session(s, CloseMode::kDiscard));
+
+  const SessionStatsSnapshot sb = server.session_stats(b);
+  const SessionStatsSnapshot ss = server.session_stats(s);
+  EXPECT_TRUE(sb.batched);
+  EXPECT_EQ(sb.batched_steps, sb.steps);
+  EXPECT_EQ(ss.batched_steps, 0u);
+  EXPECT_EQ(sb.steps, 7u);  // zs 0, 2, 3, 4, 7, 10, 11
+  EXPECT_EQ(sb.invalid_steps, 2u);
+  EXPECT_EQ(sb.quarantine_dropped, 3u);
+  EXPECT_EQ(sb.restarts, 2u);
+  EXPECT_EQ(sb.rejected, 2u);
+  EXPECT_EQ(sb.discarded, 3u);
+  EXPECT_EQ(sb.accounted() + sb.queue_depth, 15u);
+
+  // Equal blocks once the mode-specific and wall-clock fields are set
+  // aside.
+  SessionCounters cb = sb.counters();
+  SessionCounters cs = ss.counters();
+  for (SessionCounters* c : {&cb, &cs}) {
+    c->batched_steps = 0;
+    c->sum_step_s = 0.0;
+    c->worst_step_s = 0.0;
+  }
+  EXPECT_EQ(cb, cs);
+
+  const auto tb = server.trajectory(b);
+  const auto ts = server.trajectory(s);
+  ASSERT_EQ(tb.size(), 7u);
+  ASSERT_EQ(ts.size(), tb.size());
+  expect_all_finite(tb);
+  for (std::size_t n = 0; n < tb.size(); ++n)
+    for (std::size_t d = 0; d < tb[n].size(); ++d)
+      EXPECT_EQ(tb[n][d], ts[n][d]) << "step " << n << " dim " << d;
+}
+
 TEST(ServeSelfHealingTest, RestartsAreBoundedThenSessionFails) {
   const auto model = testing::small_model(4);
   SessionConfig cfg = healing_config(model);

@@ -87,6 +87,38 @@ TEST(ServeSnapshotTest, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(out.recorded_states, snap.recorded_states);
 }
 
+// The v1 wire format, pinned byte for byte: the round-trip tests above
+// would still pass if encode and decode reordered a field consistently,
+// but a frame written by an older build would then decode wrongly.
+TEST(ServeSnapshotTest, EncodeMatchesTheGoldenV1Frame) {
+  static const char kGoldenHex[] =
+      "4b4d534e01000000b80000000df0feca"  // magic, version 1, flags, len 184
+      "efbeadde890000000000000006000000"  // fingerprint, iteration, x_dim
+      "000000000000f83f00000000000002c0"  // x[0] = 1.5, x[1] = -2.25
+      "711fb5f4374b813c0000000000000000"  // x[2] = 3e-17, x[3] = 0.0
+      "00000000000000809c7500883ce4377e"  // x[4] = -0.0, x[5] = 1e300
+      "01000000030000000000000089000000"  // rung + pad, backoff 3, steps 137
+      "00000000780000000000000002000000"  // batched 120, deadline misses 2
+      "00000000010000000000000001000000"  // invalid 1, restarts 1
+      "00000000000000000000000004000000"  // degradations 0, quarantine 4
+      "00000000050000000000000006000000"  // rejected 5, dropped 6
+      "00000000070000000000000000000000"  // discarded 7, sum_step_s
+      "0000c03f000000000000603f89000000"  // = 0.125, worst 2^-9, recorded
+      "000000005aee7926ada8ae23";         // = 137, FNV-1a checksum
+  std::vector<std::uint8_t> golden;
+  for (std::size_t i = 0; i + 1 < sizeof(kGoldenHex); i += 2) {
+    golden.push_back(std::uint8_t(
+        std::stoul(std::string(kGoldenHex + i, 2), nullptr, 16)));
+  }
+  ASSERT_EQ(golden.size(), 204u);
+  EXPECT_EQ(encode(sample_snapshot()), golden);
+
+  SessionSnapshot out;
+  const Status s = decode(golden, &out);
+  ASSERT_TRUE(s.ok()) << s.message();
+  EXPECT_EQ(encode(out), golden);
+}
+
 // The corrupted-frame corpus: every mangled frame must be rejected with a
 // Status — no crash, no garbage snapshot, no UB (ASan/UBSan cover this
 // file in the sanitizer CI lanes).
